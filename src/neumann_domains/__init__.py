@@ -7,7 +7,7 @@ spectral position of an eigenvalue.
 """
 
 from .complexes import (NeumannComplex, NeumannDomain, build_complex,
-                        classify_domain, cusp_exponent, nodal_neumann_angles)
+                        cusp_exponent, nodal_neumann_angles)
 from .contours import level_arc_in_face, nodal_set
 from .cracked import build_crack_perturbation, verify_cracked
 from .critical import CriticalPoint, euler_check, find_critical_points
@@ -27,9 +27,9 @@ __all__ = [
     "CrackPerturbation", "CriticalPoint", "FlowLine", "MorseField",
     "NeumannComplex", "NeumannDomain", "NeumannLine", "SpectrumReport",
     "StopRule", "TriMesh", "TruncatedDomain", "assemble_p1",
-    "build_complex", "build_crack_perturbation", "classify_domain",
-    "cusp_exponent", "cusp_length_decay", "domain_spectrum_report",
-    "euler_check", "find_critical_points", "integrate_flow",
+    "build_complex", "build_crack_perturbation", "cusp_exponent",
+    "cusp_length_decay", "domain_spectrum_report", "euler_check",
+    "find_critical_points", "integrate_flow",
     "level_arc_in_face", "load_bundled", "mesh_domain",
     "neumann_spectrum", "nodal_neumann_angles", "nodal_set",
     "render_complex_svg", "restriction_residual", "run_invariants",

@@ -3,9 +3,10 @@
 The traced lines of all saddles form an embedded graph whose vertices are the
 critical points.  Faces are extracted combinatorially from the rotation
 system (cyclic order of line-ends around each vertex) and then realized as
-closed polygons in the plane by lifting along the boundary chain.  Each face
-carries exactly one maximum and one minimum on its closure, found by flowing
-an interior sample point both ways.
+closed polygons in the plane by lifting along the boundary chain.  On a
+Morse-Smale surface each face is a quadrangle whose closure carries exactly
+one maximum and one minimum, so the extrema are read off the critical points
+at the nodes of its boundary chain.
 """
 
 import json
@@ -16,7 +17,7 @@ from . import torus
 from .critical import MIN, MAX, SADDLE, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      ProportionalHessian, UnknownCriticalPoint)
-from .flow import FORWARD, BACKWARD, flow_endpoints, trace_all_neumann_lines
+from .flow import trace_all_neumann_lines
 
 ORDER_RADIUS = 0.02        # radius at which departure angles order the darts
 CUSP_ANGLE_THRESHOLD = np.deg2rad(5.0)
@@ -41,14 +42,13 @@ class NeumannDomain:
         self.classification = None
         self.crack_line_ids = []
         self.cusps = []
-        self.deep_point = None
         self.area = _polygon_area(self.polygon)
 
     def corners(self):
         """Lifted coordinates of the chain vertices."""
         return np.array([p[0] for p in self.pieces])
 
-    def to_dict(self, decimate=10):
+    def to_dict(self):
         def py(v):
             if isinstance(v, (bool, np.bool_)):
                 return bool(v)
@@ -196,11 +196,6 @@ def cusp_exponent(c):
     return float(np.max(h) / np.min(h))
 
 
-def classify_domain(domain):
-    """'regular', 'cracked' or 'doublyCracked' (set during build)."""
-    return domain.classification
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -325,22 +320,6 @@ def _lift_chain(lines, chain):
     pieces[-1] = pieces[-1].copy()
     pieces[-1][-1] = first
     return pieces, vertex_seq
-
-
-def _deep_point(polygon, resolution=48):
-    """Interior point far from the boundary (used to attach extrema)."""
-    from scipy.spatial import cKDTree
-    lo = polygon.min(axis=0)
-    hi = polygon.max(axis=0)
-    gx = np.linspace(lo[0], hi[0], resolution + 2)[1:-1]
-    gy = np.linspace(lo[1], hi[1], resolution + 2)[1:-1]
-    cand = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    inside = _point_in_polygon(cand, polygon)
-    cand = cand[inside]
-    if len(cand) == 0:
-        raise EulerMismatch("no interior sample point found for a face")
-    d, _ = cKDTree(polygon).query(cand)
-    return cand[np.argmax(d)]
 
 
 def _seg_intersect(p, r, q, s):
@@ -515,6 +494,22 @@ def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines,
     return float(coef[0]), float(r2)
 
 
+def _attach_extrema(face, cps):
+    """Read the face's maximum and minimum off its boundary chain.
+
+    A Morse-Smale cell carries exactly one of each on its closure; any other
+    count means the rotation system or the traced lines are wrong.
+    """
+    maxima = {v for v in face.vertex_seq if cps[v].kind == MAX}
+    minima = {v for v in face.vertex_seq if cps[v].kind == MIN}
+    if len(maxima) != 1 or len(minima) != 1:
+        raise EulerMismatch(
+            f"face {face.index}: {len(maxima)} maxima and {len(minima)} "
+            "minima on the boundary chain, expected one of each")
+    face.max_index = int(maxima.pop())
+    face.min_index = int(minima.pop())
+
+
 def build_complex(field, seed_grid=24, critical_points=None,
                   check_crossings=True):
     """Trace the Neumann line set and assemble the partition of the torus.
@@ -548,8 +543,12 @@ def build_complex(field, seed_grid=24, critical_points=None,
     if V - E + F != 0:
         raise EulerMismatch(f"V - E + F = {V} - {E} + {F} != 0")
 
+    for c in cps:
+        c.degree = len(darts_at.get(c.index, []))
     faces = []
-    deep = []
+    cx = NeumannComplex(field, cps, lines, faces, darts_at)
+    # realize each chain as a positively oriented polygon; its extrema are the
+    # maximum and minimum among the critical points at the chain's nodes
     for fi, chain in enumerate(chains):
         pieces, vertex_seq = _lift_chain(lines, chain)
         face = NeumannDomain(fi, chain, pieces, vertex_seq)
@@ -557,25 +556,9 @@ def build_complex(field, seed_grid=24, critical_points=None,
             chain = [d ^ 1 for d in reversed(chain)]
             pieces, vertex_seq = _lift_chain(lines, chain)
             face = NeumannDomain(fi, chain, pieces, vertex_seq)
-        face.deep_point = _deep_point(face.polygon)
-        deep.append(face.deep_point)
         faces.append(face)
-
-    # attach extrema by flowing the interior samples both ways
-    deep = np.array(deep)
-    fwd = flow_endpoints(field, torus.wrap(deep), [FORWARD] * len(faces), cps)
-    bwd = flow_endpoints(field, torus.wrap(deep), [BACKWARD] * len(faces), cps)
-    cx = NeumannComplex(field, cps, lines, faces, darts_at)
-    for c in cps:
-        c.degree = len(darts_at.get(c.index, []))
-
-    for face, mn, mx in zip(faces, fwd, bwd):
-        if mn < 0 or mx < 0 or cps[mn].kind != MIN or cps[mx].kind != MAX:
-            raise EulerMismatch(
-                f"face {face.index}: interior flow did not reach a min/max pair")
         face._cps = cps
-        face.min_index = int(mn)
-        face.max_index = int(mx)
+        _attach_extrema(face, cps)
         face.saddle_indices = sorted({v for v in face.vertex_seq
                                       if cps[v].kind == SADDLE})
         counts = {}

@@ -185,16 +185,6 @@ class MorseField:
             out = out + p.hessian(pts)
         return out
 
-    def evaluate(self, x, order=0):
-        """Value (order 0), gradient (order 1) or Hessian (order 2) at x."""
-        if order == 0:
-            return self.value(x)
-        if order == 1:
-            return self.gradient(x)
-        if order == 2:
-            return self.hessian(x)
-        raise ValueError("order must be 0, 1 or 2")
-
     # -- structure ----------------------------------------------------------
 
     @property

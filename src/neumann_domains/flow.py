@@ -155,7 +155,6 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
     active = np.ones(B, dtype=bool)
     captured = np.full(B, -1, dtype=int)
     steps = [[] for _ in range(B)] if record else None
-    last_x = X.copy()
 
     n_stalled = 0
     while active.any():
@@ -228,7 +227,6 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
         if len(over):
             raise NoConvergence(
                 f"trajectory from {x0[over[0]]} exceeded the integration budget")
-        last_x[acc] = xa
 
     return {"end_state": X, "captured": captured, "steps": steps,
             "time": t, "arc": arc}

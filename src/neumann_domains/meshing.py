@@ -68,19 +68,7 @@ class TriMesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def min_angles(self):
-        v = self.vertices
-        t = self.triangles
-        ang = np.empty((len(t), 3))
-        for k in range(3):
-            a = v[t[:, k]]
-            b = v[t[:, (k + 1) % 3]]
-            c = v[t[:, (k + 2) % 3]]
-            u1 = b - a
-            u2 = c - a
-            cosang = np.sum(u1 * u2, axis=1) / (
-                np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1))
-            ang[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        return np.min(ang, axis=1)
+        return _min_angles(self.vertices, self.triangles)
 
     def to_off(self, path):
         with open(path, "w") as fh:
@@ -516,20 +504,22 @@ def _circumcenter(tri_pts):
     return np.array([ux, uy])
 
 
-def _bad_triangles(verts, simplices, quality_centers):
-    """Indices of sub-threshold triangles outside the exempt neighbourhoods."""
-    if not len(simplices):
-        return np.array([], dtype=int)
-    ang = np.empty((len(simplices), 3))
+def _min_angles(verts, tris):
+    """Smallest interior angle of each triangle, in radians."""
+    ang = np.empty((len(tris), 3))
     for k in range(3):
-        a = verts[simplices[:, k]]
-        b = verts[simplices[:, (k + 1) % 3]]
-        c = verts[simplices[:, (k + 2) % 3]]
-        u1, u2 = b - a, c - a
+        a = verts[tris[:, k]]
+        u1 = verts[tris[:, (k + 1) % 3]] - a
+        u2 = verts[tris[:, (k + 2) % 3]] - a
         cosang = np.sum(u1 * u2, axis=1) / (
             np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1) + 1e-300)
         ang[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    bad = np.rad2deg(np.min(ang, axis=1)) < MIN_ANGLE_DEG
+    return np.min(ang, axis=1)
+
+
+def _bad_triangles(verts, simplices, quality_centers):
+    """Indices of sub-threshold triangles outside the exempt neighbourhoods."""
+    bad = np.rad2deg(_min_angles(verts, simplices)) < MIN_ANGLE_DEG
     if bad.any() and len(quality_centers):
         cent = verts[simplices].mean(axis=1)
         for qc in np.asarray(quality_centers).reshape(-1, 2):
@@ -537,33 +527,11 @@ def _bad_triangles(verts, simplices, quality_centers):
     return np.flatnonzero(bad)
 
 
-def _quality_check(mesh_vertices, simplices, quality_centers):
-    v = mesh_vertices
-    t = simplices
-    ang = np.empty((len(t), 3))
-    for k in range(3):
-        a = v[t[:, k]]
-        b = v[t[:, (k + 1) % 3]]
-        c = v[t[:, (k + 2) % 3]]
-        u1, u2 = b - a, c - a
-        cosang = np.sum(u1 * u2, axis=1) / (
-            np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1) + 1e-300)
-        ang[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    min_ang = np.rad2deg(np.min(ang, axis=1))
-    bad = min_ang < MIN_ANGLE_DEG
-    if not bad.any():
-        return
-    cent = v[t[bad]].mean(axis=1)
-    for qc in quality_centers:
-        near = np.linalg.norm(cent - qc, axis=1) < CUSP_QUALITY_RADIUS
-        bad_idx = np.flatnonzero(bad)
-        bad[bad_idx[near]] = False
-        cent = cent[~near]
-        if not len(cent):
-            break
-    if bad.any():
+def _quality_check(verts, tris, quality_centers):
+    bad = _bad_triangles(verts, tris, quality_centers)
+    if len(bad):
         raise MeshQualityFailure(
-            f"{int(bad.sum())} triangles under {MIN_ANGLE_DEG} deg min angle "
+            f"{len(bad)} triangles under {MIN_ANGLE_DEG} deg min angle "
             "away from cusp neighbourhoods")
 
 

@@ -1,11 +1,14 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from neumann_domains import cusp_exponent, nodal_neumann_angles, nodal_set
 from neumann_domains.complexes import CRACKED, DOUBLY_CRACKED, REGULAR
 from neumann_domains.critical import MAX, MIN, SADDLE, CriticalPoint
-from neumann_domains.errors import (DegreeTooSmall, ProportionalHessian,
-                                    UnknownCriticalPoint)
+from neumann_domains.errors import (DegreeTooSmall, EulerMismatch,
+                                    ProportionalHessian, UnknownCriticalPoint)
 
 
 def test_separable_complex_counts(sep_complex):
@@ -19,6 +22,49 @@ def test_separable_complex_counts(sep_complex):
         assert cx.critical_points[face.max_index].kind == MAX
         assert cx.critical_points[face.min_index].kind == MIN
         assert not face.cusps
+
+
+def test_extrema_read_from_boundary_chain():
+    from neumann_domains.complexes import NeumannDomain, _attach_extrema
+    cps = [SimpleNamespace(kind=k) for k in (MAX, SADDLE, MIN, SADDLE, MAX)]
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    pieces = [np.array([corners[k], corners[(k + 1) % 4]]) for k in range(4)]
+
+    face = NeumannDomain(0, [0, 2, 4, 6], pieces, [0, 1, 2, 3])
+    _attach_extrema(face, cps)
+    assert (face.max_index, face.min_index) == (0, 2)
+    # a node visited twice still counts once
+    face = NeumannDomain(0, [0, 2, 4, 6], pieces, [0, 1, 2, 1])
+    _attach_extrema(face, cps)
+    assert (face.max_index, face.min_index) == (0, 2)
+
+    for seq in ([0, 1, 4, 2],      # two distinct maxima
+                [0, 1, 4, 3],      # two maxima and no minimum
+                [0, 1, 0, 3]):     # no minimum
+        face = NeumannDomain(0, [0, 2, 4, 6], pieces, seq)
+        with pytest.raises(EulerMismatch):
+            _attach_extrema(face, cps)
+
+
+# sha256 of NeumannComplex.to_json() for the session complexes, recorded
+# with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; other versions may round
+# the traced geometry differently
+REPORT_SHA256 = {
+    "separable": "7e6811fa60ff6bcf1828a54d09d32e1b"
+                 "39f70d55088dece69b3e68a258bcd012",
+    "anisotropic": "f19473fa393cf1cd24e1a65b3cfff4cf"
+                   "38b6573daa2a989534b051912775f960",
+    "lambda17": "a0aaab1dac6b3472de29721c812ecdbc"
+                "b5325706be20dbfff6be374314a8a9f0",
+}
+
+
+def test_report_digests_unchanged(sep_complex, aniso_complex, l17_complex):
+    for name, cx in (("separable", sep_complex),
+                     ("anisotropic", aniso_complex),
+                     ("lambda17", l17_complex)):
+        digest = hashlib.sha256(cx.to_json().encode()).hexdigest()
+        assert digest == REPORT_SHA256[name], name
 
 
 def test_anisotropic_same_combinatorics(aniso_complex):

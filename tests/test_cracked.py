@@ -130,6 +130,36 @@ def test_verify_cracked_report(crack_report):
     assert d["cracked_faces"] == [rep.cracked_faces[0].index]
 
 
+def test_cracked_complex_attachment_matches_flow(crack_field, crack_report):
+    # the extrema read off each boundary chain are where interior points flow
+    from neumann_domains import torus
+    from neumann_domains.complexes import _point_in_polygon
+    from neumann_domains.flow import BACKWARD, FORWARD, flow_endpoints
+    cx = crack_report.complex
+    pts, owners = [], []
+    for face in cx.faces:
+        lo, hi = face.polygon.min(axis=0), face.polygon.max(axis=0)
+        g = np.linspace(0.0, 1.0, 26)[1:-1]
+        cand = lo + (hi - lo) * np.stack(np.meshgrid(g, g, indexing="ij"),
+                                         axis=-1).reshape(-1, 2)
+        cand = cand[_point_in_polygon(cand, face.polygon)]
+        clearance = np.min(np.linalg.norm(
+            cand[:, None, :] - face.polygon[None, :, :], axis=-1), axis=1)
+        keep = cand[np.argsort(-clearance)[:3]]
+        assert np.min(np.sort(clearance)[-3:]) > 0.05
+        pts.extend(keep)
+        owners.extend([face] * len(keep))
+    pts = torus.wrap(np.array(pts))
+    mins = flow_endpoints(crack_field, pts, [FORWARD] * len(pts),
+                          cx.critical_points)
+    maxs = flow_endpoints(crack_field, pts, [BACKWARD] * len(pts),
+                          cx.critical_points)
+    assert [f.min_index for f in owners] == list(mins)
+    assert [f.max_index for f in owners] == list(maxs)
+    cracked = crack_report.cracked_faces[0]
+    assert cracked.max_index == crack_report.new_max.index
+
+
 def test_reversed_amplitude_gives_minimum(separable):
     tilde = build_crack_perturbation(separable, (np.pi / 2, np.pi / 2),
                                      0.3, -12.0)
