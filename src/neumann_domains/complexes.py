@@ -77,20 +77,28 @@ def _polygon_area(poly):
 
 
 def _point_in_polygon(pts, poly):
-    """Vectorized even-odd rule; poly closed (first == last)."""
-    x, y = pts[:, 0], pts[:, 1]
+    """Vectorized even-odd rule; poly closed (first == last).
+
+    An edge is crossed by the rightward ray from a point whose y lies in the
+    edge's half-open range [min(y0, y1), max(y0, y1)) and which lies left of
+    the edge there.  With the points sorted by y, each edge's candidates are
+    one contiguous run, so only the (edge, point) pairs that can cross are
+    formed.
+    """
+    order = np.argsort(pts[:, 1], kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
     x0, y0 = poly[:-1, 0], poly[:-1, 1]
     x1, y1 = poly[1:, 0], poly[1:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    for a0, b0, a1, b1 in zip(x0, y0, x1, y1):
-        cross = ((b0 > y) != (b1 > y))
-        if not cross.any():
-            continue
-        t = (y[cross] - b0) / (b1 - b0)
-        xi = a0 + t * (a1 - a0)
-        flip = np.zeros(len(pts), dtype=bool)
-        flip[cross] = x[cross] < xi
-        inside ^= flip
+    first = np.searchsorted(y, np.minimum(y0, y1))
+    count = np.searchsorted(y, np.maximum(y0, y1)) - first
+    edge = np.repeat(np.arange(len(x0)), count)
+    run_start = np.cumsum(count) - count
+    k = np.arange(len(edge)) - np.repeat(run_start - first, count)
+    t = (y[k] - y0[edge]) / (y1[edge] - y0[edge])
+    xi = x0[edge] + t * (x1[edge] - x0[edge])
+    flips = np.bincount(k[x[k] < xi], minlength=len(pts))
+    inside = np.empty(len(pts), dtype=bool)
+    inside[order] = (flips & 1).astype(bool)
     return inside
 
 

@@ -49,12 +49,7 @@ class TriMesh:
         return len(self.vertices)
 
     def edge_count(self):
-        e = set()
-        for tri in self.triangles:
-            for k in range(3):
-                a, b = tri[k], tri[(k + 1) % 3]
-                e.add((min(a, b), max(a, b)))
-        return len(e)
+        return len(_edge_keys(self.triangles, self.num_vertices))
 
     def is_disk(self):
         """Euler characteristic of a triangulated closed disk is 1."""
@@ -114,9 +109,8 @@ class TruncatedDomain:
         return 0.5 * abs(float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])))
 
 
-def _domain_levels(domain):
+def _domain_levels(domain, cps):
     """Extremum values and the shift that centres f around zero."""
-    cps = domain._cps
     vmax = cps[domain.max_index].value
     vmin = cps[domain.min_index].value
     shift = 0.0
@@ -140,9 +134,8 @@ def truncate_domain(field, domain, t, critical_points):
     """
     if not (0.0 < t < 1.0):
         raise ValueError("t must be in (0, 1)")
-    domain._cps = critical_points
     cusps = _cusp_indices(domain)
-    vmax, vmin, shift = _domain_levels(domain)
+    vmax, vmin, shift = _domain_levels(domain, critical_points)
     saddles = [critical_points[i].position for i in domain.saddle_indices]
 
     cuts = []
@@ -231,11 +224,10 @@ def cusp_length_decay(field, domain, t_list, critical_points):
     The sequence must decrease toward zero as t -> 1.  Returns records
     (t, crit_index, length, normalized).
     """
-    domain._cps = critical_points
     cusps = _cusp_indices(domain)
     if not cusps:
         raise ValueError("domain has no confirmed cusp")
-    vmax, vmin, shift = _domain_levels(domain)
+    vmax, vmin, shift = _domain_levels(domain, critical_points)
     saddles = [critical_points[i].position for i in domain.saddle_indices]
     out = []
     for t in t_list:
@@ -319,13 +311,19 @@ def _self_intersects(poly):
 def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
     """Multiscale lattice points inside the polygon with clearance 0.7*size.
 
-    Lattices finer than h are generated only inside the grading
-    neighbourhoods of the size-field centers.
+    A lattice of spacing L keeps the points whose size lies in its band
+    [0.99*L, 2.2*L).  The lattice at h covers the bounding box; finer ones
+    are generated only inside the grading neighbourhoods of the size-field
+    centers.  Without centers the size is h everywhere, so only the h and
+    h/2 lattices (both over the bounding box) reach their band, and the
+    descent stops there.
     """
     lo = polygon.min(axis=0)
     hi = polygon.max(axis=0)
     centers = getattr(size_fn, "centers", np.empty((0, 2)))
     grading = getattr(size_fn, "grading", 1.0)
+    # smallest value the size field takes: h_min at a center, else h
+    size_floor = h_min if len(centers) else h
     accepted = []
     btree = cKDTree(boundary_pts)
     level_h = h
@@ -370,22 +368,21 @@ def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
                 # enforce mutual spacing within the batch (overlapping
                 # center boxes can even duplicate lattice points exactly)
                 order = np.lexsort((cand[:, 1], cand[:, 0]))
-                ctree = cKDTree(cand)
+                near = cKDTree(cand).query_ball_point(cand, 0.72 * sizes)
                 taken = np.zeros(len(cand), dtype=bool)
                 blocked = np.zeros(len(cand), dtype=bool)
                 for idx in order:
                     if blocked[idx]:
                         continue
                     taken[idx] = True
-                    for nb in ctree.query_ball_point(cand[idx],
-                                                     0.72 * sizes[idx]):
-                        if nb != idx:
-                            blocked[nb] = True
+                    blocked[near[idx]] = True
                 for p in cand[taken]:
                     accepted.append(p)
         if level_h <= h_min * 1.01:
             break
         level_h = max(level_h / 2.0, h_min)
+        if size_floor >= 2.2 * level_h:
+            break       # no size reaches this band or any finer one
     return np.array(accepted) if accepted else np.empty((0, 2))
 
 
@@ -473,23 +470,31 @@ def _mesh_polygon(pieces, size_fn, h, h_min, quality_centers=(),
         allpts = np.vstack([allpts, new_pts])
         simplices = triangulate(allpts)
 
-    # conformity: every boundary segment must appear as an edge
-    edges = set()
-    for t in simplices:
-        for k in range(3):
-            a, b = t[k], t[(k + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-    missing = [(k, (k + 1) % nb) for k in range(nb)
-               if (min(k, (k + 1) % nb), max(k, (k + 1) % nb)) not in edges]
-    if missing:
+    # conformity: every segment of the boundary loop must appear as an edge
+    n = len(allpts)
+    missing = ~np.isin(_edge_keys(np.arange(nb)[None, :], n),
+                       _edge_keys(simplices, n))
+    if missing.any():
         raise MeshQualityFailure(
-            f"{len(missing)} boundary segments lost in triangulation")
+            f"{missing.sum()} boundary segments lost in triangulation")
 
     boundary_edges = []
     for s0, s1, marker in piece_slices:
         for k in range(s0, s1):
             boundary_edges.append((k, (k + 1) % nb, marker))
     return allpts, simplices, boundary_edges, piece_slices
+
+
+def _edge_keys(cells, n):
+    """Unique undirected edges of closed cells as keys i*n + j with i < j.
+
+    ``cells`` holds one closed vertex cycle per row (triangles, or a whole
+    boundary loop); ``n`` bounds the vertex indices.
+    """
+    cells = np.asarray(cells)
+    pairs = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+    return np.unique(pairs[:, 0] * n + pairs[:, 1])
 
 
 def _circumcenter(tri_pts):
@@ -562,7 +567,6 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, critical_points=None):
     vertices.
     """
     cps = critical_points if critical_points is not None else domain._cps
-    domain._cps = cps
     h_min = h / H_MIN_FACTOR
 
     if domain.crack_line_ids:

@@ -280,3 +280,39 @@ def test_synthetic_line_crossing_detected(sep_complex):
 def test_faces_tile_torus(l17_complex):
     total = sum(f.area for f in l17_complex.faces)
     assert total == pytest.approx(4 * np.pi ** 2, abs=1e-6)
+
+
+def _point_in_polygon_reference(p, poly):
+    # scalar even-odd rule: count the edges the rightward ray from p
+    # crosses, each edge covering the half-open y-range [min, max)
+    inside = False
+    x, y = p
+    poly = poly.tolist()
+    for (a0, b0), (a1, b1) in zip(poly[:-1], poly[1:]):
+        if (b0 > y) != (b1 > y):
+            t = (y - b0) / (b1 - b0)
+            if x < a0 + t * (a1 - a0):
+                inside = not inside
+    return inside
+
+
+def test_point_in_polygon_matches_scalar_rule(l17_complex):
+    from neumann_domains.complexes import _point_in_polygon
+    rng = np.random.default_rng(7)
+    # a notched square: horizontal edges at y = 0, 1, 2 and a vertex at
+    # the height of the notch floor
+    notch = np.array([[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1],
+                      [1, 2], [0, 2], [0, 0]], dtype=float)
+    polys = [notch, l17_complex.faces[0].polygon]
+    for poly in polys:
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        step = max(1, len(poly) // 100)
+        verts = poly[::step]
+        mids = 0.5 * (poly[:-1] + poly[1:])[::step]
+        at_vertex_y = np.stack([rng.uniform(lo[0], hi[0], len(verts)),
+                                verts[:, 1]], axis=1)
+        pts = np.vstack([rng.uniform(lo, hi, (300, 2)), verts, mids,
+                         at_vertex_y])
+        want = [_point_in_polygon_reference(p, poly) for p in pts.tolist()]
+        assert _point_in_polygon(pts, poly).tolist() == want
+    assert _point_in_polygon(np.empty((0, 2)), notch).shape == (0,)

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from neumann_domains import (cusp_length_decay, mesh_domain,
                              structured_rect_mesh, truncate_domain)
-from neumann_domains.errors import (ExceptionalLevel,
+from neumann_domains.errors import (ExceptionalLevel, MeshQualityFailure,
                                     SelfIntersectingBoundary)
 from neumann_domains.meshing import _make_size_fn, _mesh_polygon
 
@@ -42,6 +44,18 @@ def test_truncate_no_cusp_unchanged(separable, sep_complex):
                          sep_complex.critical_points)
     assert tr.removed_area == 0.0
     assert all(m == "outer" for _, m in tr.pieces)
+
+
+def test_truncate_keeps_face_census(lambda17, l17_complex):
+    # meshing helpers take the census as an argument and must not rebind
+    # the one the complex stored on the face
+    cx = l17_complex
+    face = next(f for f in cx.faces if any(c["confirmed"] for c in f.cusps))
+    other_cps = list(cx.critical_points)
+    truncate_domain(lambda17, face, 0.9, other_cps)
+    cusp_length_decay(lambda17, face, (0.9,), other_cps)
+    mesh_domain(lambda17, face, 0.1, t=0.9, critical_points=other_cps)
+    assert face._cps is cx.critical_points
 
 
 def test_truncate_cusped_face(lambda17, l17_complex):
@@ -159,6 +173,19 @@ def test_self_intersection_guard():
         _mesh_polygon([(bow, "outer")], size, 0.3, 0.05)
 
 
+def test_lost_boundary_segment_raises():
+    # vertices just above and below the midpoint of the edge (0,0)-(1,0)
+    # put a point in every circle through its ends, so no Delaunay
+    # triangulation has that edge
+    poly = np.array([[0, 0], [1, 0], [1, 0.04], [0.5, 0.02], [-0.2, 0.04],
+                     [-0.2, -0.1], [1.1, -0.1], [0.5, -0.02], [0, -0.01],
+                     [0, 0]])
+    size = _make_size_fn(0.3, 0.3 / 64, 0.5, np.empty((0, 2)))
+    with pytest.raises(MeshQualityFailure,
+                       match="^3 boundary segments lost in triangulation$"):
+        _mesh_polygon([(poly, "outer")], size, 0.3, 0.3 / 64, resample=False)
+
+
 def test_off_export(tmp_path, separable, sep_complex):
     mesh = mesh_domain(separable, sep_complex.faces[0], np.pi / 8,
                        critical_points=sep_complex.critical_points)
@@ -187,3 +214,52 @@ def test_truncation_cap_wrapping_loop_start(lambda17, l17_complex):
     assert np.linalg.norm(loop[0] - loop[-1]) < 1e-12
     assert tr.removed_area > 0
     assert tr.area() == pytest.approx(face.area - tr.removed_area, abs=1e-9)
+
+
+def test_cusp_free_mesh_memory(separable, sep_complex):
+    # without grading centres only the h and h/2 lattices can place
+    # points; building the finer levels over the bounding box as well costs
+    # memory that grows like area / h_min^2 (about 268 MB here)
+    face = sep_complex.faces[0]
+    tracemalloc.start()
+    try:
+        mesh = mesh_domain(separable, face, np.pi / 32,
+                           critical_points=sep_complex.critical_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_vertices > 1000
+    assert peak < 16 * 2 ** 20
+
+
+# sha256 of vertices.tobytes() + triangles.tobytes(), recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1; other versions may round the
+# geometry differently
+MESH_SHA256 = {
+    "separable": "783414ba2cdb928bd7457592aa9736bf"
+                 "6264eb3227d9e5876927cb46ffbcec32",
+    "lambda17_cusp_free": "11c0259cc782c1d75e483f45f9841494"
+                          "18a2c0d65943a8d8a8c7aa555789deb8",
+    "lambda17_cusped": "5a9955a235094f79ad0f8fe16cf640ba"
+                       "259d9f4eecae422168775a1d9ca0db7f",
+}
+
+
+def test_mesh_digests_unchanged(separable, sep_complex, lambda17,
+                                l17_complex):
+    faces = l17_complex.faces
+    cases = {
+        "separable": (separable, sep_complex, sep_complex.faces[0],
+                      np.pi / 32),
+        "lambda17_cusp_free": (lambda17, l17_complex, next(
+            f for f in faces if not any(c["confirmed"] for c in f.cusps)),
+            0.04),
+        "lambda17_cusped": (lambda17, l17_complex, next(
+            f for f in faces if any(c["confirmed"] for c in f.cusps)), 0.04),
+    }
+    for name, (field, cx, face, h) in cases.items():
+        mesh = mesh_domain(field, face, h,
+                           critical_points=cx.critical_points)
+        digest = hashlib.sha256(mesh.vertices.tobytes()
+                                + mesh.triangles.tobytes()).hexdigest()
+        assert digest == MESH_SHA256[name], name
