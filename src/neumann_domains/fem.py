@@ -3,20 +3,20 @@
 No essential boundary conditions are imposed anywhere: the discrete operator
 is the Galerkin projection of the Dirichlet energy form onto P1 functions,
 so natural (Neumann) conditions hold on every boundary piece, including
-truncation cuts and both sides of a crack slit.
+truncation cuts and both sides of a crack slit.  Eigenpairs come from
+shift-invert Lanczos; eigenvalue counts are certified by Sylvester inertia.
 """
 
 import json
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (AmbiguousCluster, NonSPDMass, NotAnEigenfunctionField,
                      SolverBreakdown, SpectrumTooShort)
 
-DENSE_LIMIT = 3000
+DENSE_LIMIT = 0     # no dense path; perfbench/spans.py splits solves on it
 CLUSTER_TOL = 1e-3
 
 
@@ -51,19 +51,15 @@ def assemble_p1(mesh):
     return K, M
 
 
-def neumann_spectrum(mesh, k):
+def neumann_spectrum(mesh, k, *, _matrices=None):
     """The k smallest Neumann eigenvalues and M-orthonormal eigenvectors.
 
-    Dense solve below DENSE_LIMIT vertices, shift-invert Lanczos above.
+    Shift-invert Lanczos about sigma = -0.1, below the zero eigenvalue.
     """
-    K, M = assemble_p1(mesh)
+    K, M = assemble_p1(mesh) if _matrices is None else _matrices
     n = K.shape[0]
     if not k < n / 2:
         raise ValueError(f"k = {k} too large for {n} vertices")
-    if n <= DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray(),
-                                       subset_by_index=(0, k - 1))
-        return vals, vecs
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs = spla.eigsh(K, k=k, M=M, sigma=-0.1, which="LM", v0=v0)
@@ -71,6 +67,21 @@ def neumann_spectrum(mesh, k):
         raise SolverBreakdown(str(exc)) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _inertia(K, M, theta):
+    """Number of eigenvalues of K v = mu M v below theta.
+
+    By Sylvester's law of inertia, the number of negative pivots of a
+    symmetric LU factorisation of K - theta*M (spectrum slicing).  Returns
+    an int so that each factorisation is freed before the next one starts.
+    """
+    lu = spla.splu((K - theta * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverBreakdown(f"K - {theta:.6g} M needed off-diagonal "
+                              "pivots, whose signs give no inertia")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
@@ -100,7 +111,7 @@ def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
     return position, cluster
 
 
-def restriction_residual(field, mesh, lam=None):
+def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     """Discrete witness that the field restricts to a Neumann eigenfunction.
 
     Samples the field at the mesh vertices and measures the residual
@@ -119,7 +130,7 @@ def restriction_residual(field, mesh, lam=None):
             "restriction residual requires a Laplacian eigenfunction")
     if lam is None:
         lam = field.eigenvalue()
-    K, M = assemble_p1(mesh)
+    K, M = assemble_p1(mesh) if _matrices is None else _matrices
     F = field.value(mesh.vertices)
     R = K @ F - lam * (M @ F)
     z = spla.spsolve((K + M).tocsc(), R)
@@ -163,12 +174,26 @@ class SpectrumReport:
 
 
 def domain_spectrum_report(field, mesh, lam, k, tol=CLUSTER_TOL):
-    """Compute spectrum, position of lam, residual and distances in one go."""
-    mu, _ = neumann_spectrum(mesh, k)
+    """Compute spectrum, position of lam, residual and distances in one go.
+
+    For lam > 0 the inertia count at lam*(1 - tol) must equal the position
+    and the count at lam*(1 - 2 tol): no eigenvalue, found by the solver or
+    not, may lie in the guard band between them.
+    """
+    K, M = assemble_p1(mesh)
+    mu, _ = neumann_spectrum(mesh, k, _matrices=(K, M))
     position, cluster = spectral_position(mu, lam, tol)
+    if lam > 0:
+        count = _inertia(K, M, lam * (1.0 - tol))
+        if count != _inertia(K, M, lam * (1.0 - 2.0 * tol)):
+            raise AmbiguousCluster("an eigenvalue lies in the guard band "
+                                   f"below {lam:.6g}; tighten the mesh")
+        if count != position:
+            raise SolverBreakdown(f"{position} eigenvalues found below the "
+                                  f"threshold, {count} by inertia")
     residual = None
     if field.is_eigenfunction:
-        residual = restriction_residual(field, mesh, lam)
+        residual = restriction_residual(field, mesh, lam, _matrices=(K, M))
     dist = float(np.min(np.abs(np.array(mu) - lam)) / lam) if lam > 0 else None
     return SpectrumReport(mu, lam, position, cluster, residual,
                           {"h": mesh.h, "grading": mesh.grading, "t": mesh.t,

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import neumann_domains.fem as fem
 from neumann_domains import (MorseField, assemble_p1, mesh_domain,
                              neumann_spectrum, restriction_residual,
                              spectral_position, structured_rect_mesh)
 from neumann_domains.errors import (AmbiguousCluster, NonSPDMass,
-                                    NotAnEigenfunctionField, SpectrumTooShort)
-from neumann_domains.fem import domain_spectrum_report
+                                    NotAnEigenfunctionField, SolverBreakdown,
+                                    SpectrumTooShort)
+from neumann_domains.fem import _inertia, domain_spectrum_report
 
 # Neumann eigenvalues of the side-pi square are j^2 + k^2
 SQUARE_SPECTRUM = np.array([0, 1, 1, 2, 4, 4, 5, 5, 8], dtype=float)
@@ -155,16 +158,59 @@ def test_slit_mesh_spectrum(crack_field, crack_report):
     assert np.all(mu >= -1e-8)
 
 
-def test_dense_and_sparse_paths_agree(separable, sep_complex):
-    import neumann_domains.fem as fem
+def test_spectrum_matches_dense_reference(separable, sep_complex):
     mesh = mesh_domain(separable, sep_complex.faces[0], np.pi / 24,
                        critical_points=sep_complex.critical_points)
-    mu_dense, _ = neumann_spectrum(mesh, 6)
-    old = fem.DENSE_LIMIT
-    try:
-        fem.DENSE_LIMIT = 10
-        mu_sparse, _ = neumann_spectrum(mesh, 6)
-    finally:
-        fem.DENSE_LIMIT = old
-    assert np.max(np.abs(np.asarray(mu_dense[1:]) - mu_sparse[1:])) < 1e-7
-    assert abs(mu_sparse[0]) < 1e-6
+    mu, _ = neumann_spectrum(mesh, 6)
+    K, M = assemble_p1(mesh)
+    ref = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:6]
+    assert np.max(np.abs(ref[1:] - mu[1:])) < 1e-7
+    assert abs(mu[0]) < 1e-6
+
+
+def test_cusped_face_eigenpairs_accurate(lambda17, l17_complex):
+    # a dense generalised eigh gave mu0 = -1.5e-5 and eigenpair residuals of
+    # 1.5e-6 on this cusped face
+    face = l17_complex.faces[5]
+    assert face.cusps
+    mesh = mesh_domain(lambda17, face, 0.03,
+                       critical_points=l17_complex.critical_points)
+    mu, vecs = neumann_spectrum(mesh, 12)
+    K, M = assemble_p1(mesh)
+    assert abs(mu[0]) <= 1e-8
+    assert np.max(np.linalg.norm(K @ vecs - (M @ vecs) * mu, axis=0)) <= 1e-9
+    for j in range(len(mu) - 1):
+        assert _inertia(K, M, 0.5 * (mu[j] + mu[j + 1])) == j + 1
+
+
+def test_inertia_counts_structured_square():
+    mesh = structured_rect_mesh(np.pi, np.pi, 32, 32)
+    mu, _ = neumann_spectrum(mesh, 9)
+    K, M = assemble_p1(mesh)
+    for theta, count in ((0.5, 1), (1.5, 3), (4.5, 6)):
+        assert _inertia(K, M, theta) == count
+        assert np.sum(mu < theta) == count
+
+
+def _dropping(monkeypatch, j):
+    """Make fem.neumann_spectrum lose its j-th eigenpair."""
+    def lossy(mesh, k, **kwargs):
+        mu, vecs = neumann_spectrum(mesh, k, **kwargs)
+        return np.delete(mu, j), np.delete(vecs, j, axis=1)
+
+    monkeypatch.setattr(fem, "neumann_spectrum", lossy)
+
+
+def test_report_count_checked_by_inertia(separable, monkeypatch):
+    mesh = structured_rect_mesh(np.pi, np.pi, 16, 16)
+    mu, _ = neumann_spectrum(mesh, 9)
+    assert domain_spectrum_report(separable, mesh, 4.5, 9).position == 6
+    _dropping(monkeypatch, 2)
+    with pytest.raises(SolverBreakdown):
+        domain_spectrum_report(separable, mesh, 4.5, 9)
+    # mu[3] (about 2) in the guard band [lam(1 - 2 tol), lam(1 - tol)),
+    # unseen by spectral_position once the solver drops it
+    lam = mu[3] / (1.0 - 1.5 * fem.CLUSTER_TOL)
+    _dropping(monkeypatch, 3)
+    with pytest.raises(AmbiguousCluster):
+        domain_spectrum_report(separable, mesh, lam, 9)
