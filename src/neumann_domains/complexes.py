@@ -9,11 +9,13 @@ one maximum and one minimum, so the extrema are read off the critical points
 at the nodes of its boundary chain.
 """
 
+import functools
 import json
 
 import numpy as np
 
-from . import torus
+from . import geometry, torus
+from .contours import polyline_intersections
 from .critical import MIN, MAX, SADDLE, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      ProportionalHessian, UnknownCriticalPoint)
@@ -74,32 +76,6 @@ class NeumannDomain:
 def _polygon_area(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
-def _point_in_polygon(pts, poly):
-    """Vectorized even-odd rule; poly closed (first == last).
-
-    An edge is crossed by the rightward ray from a point whose y lies in the
-    edge's half-open range [min(y0, y1), max(y0, y1)) and which lies left of
-    the edge there.  With the points sorted by y, each edge's candidates are
-    one contiguous run, so only the (edge, point) pairs that can cross are
-    formed.
-    """
-    order = np.argsort(pts[:, 1], kind="stable")
-    x, y = pts[order, 0], pts[order, 1]
-    x0, y0 = poly[:-1, 0], poly[:-1, 1]
-    x1, y1 = poly[1:, 0], poly[1:, 1]
-    first = np.searchsorted(y, np.minimum(y0, y1))
-    count = np.searchsorted(y, np.maximum(y0, y1)) - first
-    edge = np.repeat(np.arange(len(x0)), count)
-    run_start = np.cumsum(count) - count
-    k = np.arange(len(edge)) - np.repeat(run_start - first, count)
-    t = (y[k] - y0[edge]) / (y1[edge] - y0[edge])
-    xi = x0[edge] + t * (x1[edge] - x0[edge])
-    flips = np.bincount(k[x[k] < xi], minlength=len(pts))
-    inside = np.empty(len(pts), dtype=bool)
-    inside[order] = (flips & 1).astype(bool)
-    return inside
 
 
 class NeumannComplex:
@@ -248,7 +224,6 @@ def _tie_break_ccw(lines, dart_a, dart_b):
 
 def _refine_tied_order(lines, ordered):
     """Re-sort angle-tied blocks of (dart, angle) pairs by the walk order."""
-    import functools
     n = len(ordered)
     if n < 2:
         return ordered
@@ -330,23 +305,12 @@ def _lift_chain(lines, chain):
     return pieces, vertex_seq
 
 
-def _seg_intersect(p, r, q, s):
-    rxs = r[0] * s[1] - r[1] * s[0]
-    if abs(rxs) < 1e-15:
-        return None
-    qp = q - p
-    t = (qp[0] * s[1] - qp[1] * s[0]) / rxs
-    u = (qp[0] * r[1] - qp[1] * r[0]) / rxs
-    if 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9:
-        return p + t * r
-    return None
-
-
 COINCIDENCE_TOL = 2e-3     # curves closer than this over the whole window
                            # are tangential contact, not a crossing
+FINE_RADIUS = 0.05         # half-width of the window confirming a crossing
 
 
-def _fine_crossing(lines, li, lj, near, radius=0.05):
+def _fine_crossing(lines, li, lj, near):
     """Confirm a coarse chord intersection on the full-resolution polylines.
 
     Coarse chords of two curves in a close (but disjoint) approach can cross
@@ -356,90 +320,53 @@ def _fine_crossing(lines, li, lj, near, radius=0.05):
     an intersection only counts when the curves genuinely separate inside
     the window (a transversal crossing signals integrator failure).
     """
-    def local_segs(ln):
+    def window(ln):
+        # the samples near ``near``, lifted into the period cell of ``near``
         pts = ln.samples
         ref = torus.nearest_lift(near, pts[len(pts) // 2])
-        d = np.linalg.norm(pts - ref, axis=1)
-        keep = d < radius
+        keep = np.linalg.norm(pts - ref, axis=1) < FINE_RADIUS
         idx = np.flatnonzero(keep[:-1] & keep[1:])
-        return pts[idx], pts[idx + 1]
+        shift = near - ref
+        return pts[idx] + shift, pts[idx + 1] + shift
 
-    a0, a1 = local_segs(lines[li])
-    b0, b1 = local_segs(lines[lj])
-    hit = None
-    for p, p1 in zip(a0, a1):
-        shift = torus.PERIOD * np.round(
-            ((b0 + b1) * 0.5 - p) / torus.PERIOD) if len(b0) else None
-        for k in range(len(b0)):
-            x = _seg_intersect(p, p1 - p, b0[k] + shift[k], b1[k] - b0[k])
-            if x is not None:
-                hit = x
-                break
-        if hit is not None:
-            break
-    if hit is None or not len(a0) or not len(b0):
-        return None
+    a0, a1 = window(lines[li])
+    b0, b1 = window(lines[lj])
+    hit, _ = geometry.segment_hits(a0[:, None], a1[:, None], b0, b1, 1e-9)
+    if not hit.any():
+        return False
     pa = np.vstack([a0, a1[-1:]])
     pb = np.vstack([b0, b1[-1:]])
-    pb = pb + torus.PERIOD * np.round((pa.mean(axis=0) - pb.mean(axis=0))
-                                      / torus.PERIOD)
     d_ab = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1),
                   axis=1)
-    if np.max(d_ab) < COINCIDENCE_TOL:
-        return None
-    return hit
+    return bool(np.max(d_ab) >= COINCIDENCE_TOL)
 
 
 def _check_crossings(lines, critical_points, coarsen=10):
     """Raise LineCrossing if two lines intersect away from critical points."""
-    segs = []
-    for li, ln in enumerate(lines):
-        pts = ln.samples[::coarsen]
-        if len(pts) < 2:
-            continue
-        a, b = pts[:-1], pts[1:]
-        for j in range(len(a)):
-            segs.append((li, a[j], b[j]))
-    cell = 0.06
-    ncell = int(np.ceil(torus.PERIOD / cell))
-    grid = {}
-    for k, (li, a, b) in enumerate(segs):
-        mid = torus.wrap(0.5 * (a + b))
-        ci, cj = int(mid[0] / cell) % ncell, int(mid[1] / cell) % ncell
-        grid.setdefault((ci, cj), []).append(k)
+    pts = [ln.samples[::coarsen] for ln in lines]
+    owner = np.concatenate([np.full(len(p) - 1, li)
+                            for li, p in enumerate(pts)])
+    a0 = np.concatenate([p[:-1] for p in pts])
+    a1 = np.concatenate([p[1:] for p in pts])
+    i, j, shift = geometry.candidate_pairs(a0, a1)
+    other = owner[i] != owner[j]
+    i, j, shift = i[other], j[other], shift[other]
+    hit, t = geometry.segment_hits(a0[i], a1[i], a0[j] + shift, a1[j] + shift,
+                                   1e-9)
+    i, j, t = i[hit], j[hit], t[hit]
+    xw = torus.wrap(a0[i] + t[:, None] * (a1[i] - a0[i]))
     crit_xy = np.array([c.position for c in critical_points])
+    dists = torus.pairwise_dist(xw, crit_xy)
     ends = [{ln.start_index, ln.end_index} for ln in lines]
-
-    for (ci, cj), members in grid.items():
-        neigh = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                neigh.extend(grid.get(((ci + di) % ncell, (cj + dj) % ncell), []))
-        for k in members:
-            li, a, b = segs[k]
-            mid_a = 0.5 * (a + b)
-            for m in neigh:
-                if m <= k:
-                    continue
-                lj, c, d = segs[m]
-                if lj == li:
-                    continue
-                shift = torus.PERIOD * np.round((mid_a - 0.5 * (c + d)) / torus.PERIOD)
-                x = _seg_intersect(a, b - a, c + shift, d - c)
-                if x is None:
-                    continue
-                xw = torus.wrap(x)
-                dists = torus.dist(crit_xy, xw)
-                if np.min(dists) <= CROSSING_EXCLUSION:
-                    continue
-                # lines converging into a shared endpoint legitimately approach
-                # each other; ignore contacts in that neighbourhood
-                shared = ends[li] & ends[lj]
-                if any(s is not None and dists[s] < 0.1 for s in shared):
-                    continue
-                if _fine_crossing(lines, li, lj, xw) is not None:
-                    raise LineCrossing(
-                        f"lines {li} and {lj} cross near {xw}")
+    for x, d, li, lj in zip(xw, dists, owner[i], owner[j]):
+        if np.min(d) <= CROSSING_EXCLUSION:
+            continue
+        # lines converging into a shared endpoint legitimately approach
+        # each other; ignore contacts in that neighbourhood
+        if any(s is not None and d[s] < 0.1 for s in ends[li] & ends[lj]):
+            continue
+        if _fine_crossing(lines, li, lj, x):
+            raise LineCrossing(f"lines {li} and {lj} cross near {x}")
 
 
 def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines,
@@ -622,7 +549,6 @@ def nodal_neumann_angles(cx, nodal_polylines, saddle_radius=1e-2,
     curves around the crossing.  Returns (point, angle) pairs with angles in
     [0, pi/2].
     """
-    from .contours import polyline_intersections
     field = cx.field
     crit_xy = np.array([c.position for c in cx.critical_points])
     out = []

@@ -9,7 +9,7 @@ given face polygon.
 
 import numpy as np
 
-from . import torus
+from . import geometry, torus
 from .errors import ExceptionalLevel
 
 SADDLE_LEVEL_TOL = 1e-3    # crossing this close to a saddle is 'exceptional'
@@ -171,11 +171,6 @@ def _boundary_crossings(field, polygon, level):
     return pts
 
 
-def _inside(polygon, p):
-    from .complexes import _point_in_polygon
-    return bool(_point_in_polygon(np.atleast_2d(p), polygon)[0])
-
-
 def level_arc_in_face(field, face, level, saddle_positions=(),
                       max_steps=400000):
     """Trace the level line f == level through the interior of a face.
@@ -214,7 +209,7 @@ def level_arc_in_face(field, face, level, saddle_positions=(),
     tan = np.array([-g[1], g[0]])
     tan /= np.linalg.norm(tan)
     probe = A + 10 * 1e-6 * tan
-    if not _inside(polygon, probe):
+    if not geometry._point_in_polygon(probe[None], polygon)[0]:
         tan = -tan
     pts = [A]
     x = A.copy()
@@ -251,44 +246,31 @@ def polyline_length(pts):
 # intersections of two polyline families on the torus
 # ---------------------------------------------------------------------------
 
-def _segment_intersection(p, r, q, s):
-    rxs = r[0] * s[1] - r[1] * s[0]
-    if abs(rxs) < 1e-15:
-        return None
-    qp = q - p
-    t = (qp[0] * s[1] - qp[1] * s[0]) / rxs
-    u = (qp[0] * r[1] - qp[1] * r[0]) / rxs
-    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-        return t, u
-    return None
+POLYLINE_COARSEN = 10      # stride of the first family's chords
+SECANT_ARC = 0.012         # half-length of the direction secants
 
 
-def polyline_intersections(lines_a, lines_b, coarsen_a=10, secant_arc=0.012):
+def polyline_intersections(lines_a, lines_b):
     """Intersection points between two families of curves on the torus.
 
     Returns (point, dir_a, dir_b) triples where the directions are local
-    secants of each curve over +-secant_arc around the crossing.  Input
-    polylines are continuous (unwrapped) coordinate arrays.
+    secants of each curve over +-SECANT_ARC around the crossing, ordered by
+    the segment of lines_b, then of lines_a.  Input polylines are continuous
+    (unwrapped) coordinate arrays; lines_a is tested on chords over every
+    POLYLINE_COARSEN-th sample.
     """
     def segs_of(lines, stride):
-        segs = []
+        line, start, p0, p1 = [], [], [], []
         for li, pts in enumerate(lines):
             p = pts[::stride]
             if not np.array_equal(p[-1], pts[-1]):
                 p = np.vstack([p, pts[-1]])
-            for k in range(len(p) - 1):
-                segs.append((li, stride * k, p[k], p[k + 1]))
-        return segs
-
-    segs_a = segs_of(lines_a, coarsen_a)
-    segs_b = segs_of(lines_b, 1)
-    cell = 0.08
-    ncell = int(np.ceil(torus.PERIOD / cell))
-    grid = {}
-    for k, (_, _, a, b) in enumerate(segs_a):
-        mid = torus.wrap(0.5 * (a + b))
-        ci, cj = int(mid[0] / cell) % ncell, int(mid[1] / cell) % ncell
-        grid.setdefault((ci, cj), []).append(k)
+            line.append(np.full(len(p) - 1, li))
+            start.append(stride * np.arange(len(p) - 1))
+            p0.append(p[:-1])
+            p1.append(p[1:])
+        return (np.concatenate(line), np.concatenate(start),
+                np.concatenate(p0), np.concatenate(p1))
 
     def secant(pts, idx, arc):
         cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -300,31 +282,18 @@ def polyline_intersections(lines_a, lines_b, coarsen_a=10, secant_arc=0.012):
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
 
-    hits = []
-    for lb, kb, q0, q1 in segs_b:
-        mid_raw = 0.5 * (q0 + q1)
-        mid = torus.wrap(mid_raw)
-        ci, cj = int(mid[0] / cell) % ncell, int(mid[1] / cell) % ncell
-        cand = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                cand.extend(grid.get(((ci + di) % ncell, (cj + dj) % ncell), []))
-        for k in cand:
-            la, ka, p0, p1 = segs_a[k]
-            # translate the candidate segment into the raw frame of this one
-            shift = torus.PERIOD * np.round((mid_raw - 0.5 * (p0 + p1)) / torus.PERIOD)
-            a0, a1 = p0 + shift, p1 + shift
-            res = _segment_intersection(a0, a1 - a0, q0, q1 - q0)
-            if res is None:
-                continue
-            t, _ = res
-            pt = a0 + t * (a1 - a0)
-            da = secant(lines_a[la], ka, secant_arc)
-            db = secant(lines_b[lb], kb, secant_arc)
-            hits.append((torus.wrap(pt), da, db))
-    # merge duplicates from adjacent segments hitting the same crossing
+    la, ka, p0, p1 = segs_of(lines_a, POLYLINE_COARSEN)
+    lb, kb, q0, q1 = segs_of(lines_b, 1)
+    ib, ia, shift = geometry.candidate_pairs(q0, q1, p0, p1)
+    # translate each candidate segment of a into the raw frame of b's
+    a0, a1 = p0[ia] + shift, p1[ia] + shift
+    hit, t = geometry.segment_hits(a0, a1, q0[ib], q1[ib], -1e-12)
+    ib, ia, t = ib[hit], ia[hit], t[hit]
+    pts = torus.wrap(a0[hit] + t[:, None] * (a1[hit] - a0[hit]))
     out = []
-    for pt, da, db in hits:
+    for pt, i, j in zip(pts, ia, ib):
+        # merge duplicates from adjacent segments hitting the same crossing
         if not any(torus.dist(pt, q) < 1e-6 for q, _, _ in out):
-            out.append((pt, da, db))
+            out.append((pt, secant(lines_a[la[i]], ka[i], SECANT_ARC),
+                        secant(lines_b[lb[j]], kb[j], SECANT_ARC)))
     return out

@@ -58,8 +58,9 @@ def neumann_spectrum(mesh, k, *, _matrices=None):
     """
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     n = K.shape[0]
-    if not k < n / 2:
-        raise ValueError(f"k = {k} too large for {n} vertices")
+    if not 0 < k < n / 2:
+        raise ValueError(f"k = {k} must lie in (0, {n / 2:g}) for {n} "
+                         "vertices")
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs = spla.eigsh(K, k=k, M=M, sigma=-0.1, which="LM", v0=v0)
@@ -93,6 +94,9 @@ def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
     position equals the least index attaining it.
     """
     mu = np.asarray(spectrum, dtype=float)
+    if not 0 < tol < 0.5:
+        # from tol = 0.5 the guard band reaches the zero eigenvalue
+        raise ValueError(f"cluster tolerance {tol} must lie in (0, 0.5)")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:

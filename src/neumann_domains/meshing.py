@@ -16,11 +16,11 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from . import torus
-from .complexes import _point_in_polygon
 from .contours import level_arc_in_face, polyline_length
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
 from .flow import FORWARD, BACKWARD, integrate_flow
+from .geometry import _point_in_polygon, candidate_pairs, segment_hits
 
 H_MIN_FACTOR = 64.0        # finest graded size is h / 64
 MIN_ANGLE_DEG = 15.0       # quality gate away from cusp neighbourhoods
@@ -277,35 +277,13 @@ def _resample_by_size(pts, size_fn):
 
 
 def _self_intersects(poly):
-    """Exact segment test with a hash grid (adjacent segments excluded)."""
+    """True when two non-adjacent edges of the closed polygon cross."""
     n = len(poly) - 1
-    lens = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    cell = max(np.max(lens), 1e-6)
-    grid = {}
-    for k in range(n):
-        mid = 0.5 * (poly[k] + poly[k + 1])
-        key = (int(mid[0] / cell), int(mid[1] / cell))
-        grid.setdefault(key, []).append(k)
-    for k in range(n):
-        a, b = poly[k], poly[k + 1]
-        mid = 0.5 * (a + b)
-        ci, cj = int(mid[0] / cell), int(mid[1] / cell)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for m in grid.get((ci + di, cj + dj), []):
-                    if m <= k or abs(m - k) <= 1 or (k == 0 and m == n - 1):
-                        continue
-                    c, d = poly[m], poly[m + 1]
-                    r, s2 = b - a, d - c
-                    rxs = r[0] * s2[1] - r[1] * s2[0]
-                    if abs(rxs) < 1e-18:
-                        continue
-                    qp = c - a
-                    t = (qp[0] * s2[1] - qp[1] * s2[0]) / rxs
-                    u = (qp[0] * r[1] - qp[1] * r[0]) / rxs
-                    if 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9:
-                        return True
-    return False
+    i, j, _ = candidate_pairs(poly[:-1], poly[1:], periodic=False)
+    keep = (j - i > 1) & ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    hit, _ = segment_hits(poly[i], poly[i + 1], poly[j], poly[j + 1], 1e-9)
+    return bool(hit.any())
 
 
 def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
@@ -566,6 +544,8 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, critical_points=None):
     meshed per side, and glued, leaving the crack as a slit of duplicated
     vertices.
     """
+    if not h > 0:
+        raise ValueError(f"mesh size h = {h} must be positive")
     cps = critical_points if critical_points is not None else domain._cps
     h_min = h / H_MIN_FACTOR
 

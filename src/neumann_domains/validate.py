@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 from . import torus
 from .complexes import build_complex
 from .critical import MAX, MIN, find_critical_points
+from .geometry import _point_in_polygon
 
 HAUSDORFF_TOL = 1e-4
 ANGLE_SUM_TOL = 1e-3
@@ -84,7 +85,6 @@ def run_invariants(field, seed_grid=24, rng_seed=7):
     # face-extremum attachment independent of the interior samples: five
     # random interior points per face, flowed both ways in one batch
     from .flow import BACKWARD, FORWARD, flow_endpoints
-    from .complexes import _point_in_polygon
     samples = []
     owners = []
     for face in cx.faces:

@@ -96,6 +96,14 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["spectrum", "--field", "anisotropic", "--domain-index",
                  "99", "--out", str(tmp_path / "o")]) == 2
+    # out-of-range mesh size, eigenvalue count and cluster tolerance
+    quick = ["--field", "separable", "--seed-grid", "16", "--out",
+             str(tmp_path / "o")]
+    for flags in (["--mesh-h", "0"], ["--mesh-h", "-0.1"],
+                  ["--mesh-h", "0.3", "--num-eigs", "0"],
+                  ["--mesh-h", "0.3", "--num-eigs", "4", "--cluster-tol",
+                   "0.6"]):
+        assert main(["position", *quick, *flags]) == 2, flags
     # 3: numerical failure (spectrum does not extend past lam)
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",

@@ -220,11 +220,23 @@ def test_nodal_neumann_angles_separable(sep_complex, separable):
         assert min(d) < 1e-6
 
 
+# sha256 of the JSON list of [[x, y], angle] of the lambda17 nodal/Neumann
+# meeting angles, rounded to 9 digits as in the complex report; recorded
+# with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
+ANGLES_SHA256 = ("b72367d1e65e611965a30567aa63ad7c"
+                 "c39ff888cd2f268e57c145f59c6ec917")
+
+
 def test_nodal_neumann_angles_lambda17(l17_complex, lambda17):
+    import json
     hits = nodal_neumann_angles(l17_complex, nodal_set(lambda17, 512))
     assert len(hits) > 10
     for _, ang in hits:
         assert abs(np.rad2deg(ang) - 90.0) <= 2.0
+    rounded = [[[round(float(p[0]), 9), round(float(p[1]), 9)], round(a, 9)]
+               for p, a in hits]
+    digest = hashlib.sha256(json.dumps(rounded).encode()).hexdigest()
+    assert digest == ANGLES_SHA256
 
 
 def test_negation_symmetry(separable, sep_complex):
@@ -272,9 +284,11 @@ def test_synthetic_line_crossing_detected(sep_complex):
     a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
     b = np.stack([np.full_like(s, 1.50043), 1.0 + s], axis=-1)
     la = FlowLine(a, "forward", None, None, None, None)
-    lb = FlowLine(b, "forward", None, None, None, None)
-    with pytest.raises(LineCrossing):
-        _check_crossings([la, lb], sep_complex.critical_points, coarsen=5)
+    # the same crossing with b's unwrapped coordinates a period away
+    for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
+        lb = FlowLine(b + lift, "forward", None, None, None, None)
+        with pytest.raises(LineCrossing):
+            _check_crossings([la, lb], sep_complex.critical_points, coarsen=5)
 
 
 def test_faces_tile_torus(l17_complex):
@@ -297,7 +311,7 @@ def _point_in_polygon_reference(p, poly):
 
 
 def test_point_in_polygon_matches_scalar_rule(l17_complex):
-    from neumann_domains.complexes import _point_in_polygon
+    from neumann_domains.geometry import _point_in_polygon
     rng = np.random.default_rng(7)
     # a notched square: horizontal edges at y = 0, 1, 2 and a vertex at
     # the height of the notch floor
@@ -316,3 +330,75 @@ def test_point_in_polygon_matches_scalar_rule(l17_complex):
         want = [_point_in_polygon_reference(p, poly) for p in pts.tolist()]
         assert _point_in_polygon(pts, poly).tolist() == want
     assert _point_in_polygon(np.empty((0, 2)), notch).shape == (0,)
+
+
+def _segment_hit_reference(a0, a1, b0, b1, eps):
+    # scalar rule: parameters t along a and u along b of the crossing of
+    # the two carrier lines, both strictly inside (eps, 1 - eps)
+    r = (a1[0] - a0[0], a1[1] - a0[1])
+    s = (b1[0] - b0[0], b1[1] - b0[1])
+    rxs = r[0] * s[1] - r[1] * s[0]
+    if abs(rxs) < 1e-15:
+        return None
+    qp = (b0[0] - a0[0], b0[1] - a0[1])
+    t = (qp[0] * s[1] - qp[1] * s[0]) / rxs
+    u = (qp[0] * r[1] - qp[1] * r[0]) / rxs
+    return t if eps < t < 1 - eps and eps < u < 1 - eps else None
+
+
+def test_segment_hits_match_scalar_rule():
+    from neumann_domains.geometry import segment_hits
+    rng = np.random.default_rng(11)
+    a0 = rng.uniform(0, 1, (400, 2))
+    a1 = rng.uniform(0, 1, (400, 2))
+    r = a1 - a0
+    perp = np.stack([-r[:, 1], r[:, 0]], axis=1)
+    k = rng.uniform(0.1, 0.9, (400, 1))
+    b = {
+        "random": (rng.uniform(0, 1, (400, 2)), rng.uniform(0, 1, (400, 2))),
+        "shared endpoint": (a1, a1 + rng.uniform(-1, 1, (400, 2))),
+        "T-junction": (a0 + k * r, a0 + k * r + rng.uniform(-1, 1, (400, 2))),
+        "parallel": (a0 + 0.01 * perp, a1 + 0.01 * perp),
+        "collinear": (a0 + k * r, a1 + k * r),
+    }
+    for eps in (1e-9, -1e-12):
+        for case, (b0, b1) in b.items():
+            hit, t = segment_hits(a0, a1, b0, b1, eps)
+            want = [_segment_hit_reference(*q, eps) for q in
+                    zip(a0.tolist(), a1.tolist(), b0.tolist(), b1.tolist())]
+            assert hit.tolist() == [w is not None for w in want], (case, eps)
+            assert t[hit].tolist() == [w for w in want if w is not None]
+    # endpoint contacts count only with a negative eps
+    assert not segment_hits(a0, a1, *b["shared endpoint"], 1e-9)[0].any()
+    assert segment_hits(a0, a1, *b["T-junction"], -1e-12)[0].any()
+
+
+def test_candidate_pairs_miss_no_crossing():
+    from neumann_domains.geometry import candidate_pairs, segment_hits
+    rng = np.random.default_rng(5)
+    P = 2 * np.pi
+    # short segments of mixed lengths, some straddling the period cell
+    a0 = rng.uniform(-0.3, P + 0.3, (300, 2))
+    a1 = a0 + rng.uniform(-0.4, 0.4, (300, 2))
+    b0 = rng.uniform(-0.3, P + 0.3, (200, 2))
+    b1 = b0 + rng.uniform(-0.05, 0.05, (200, 2))
+    for periodic in (True, False):
+        for second in ((), (b0, b1)):
+            c0, c1 = second or (a0, a1)
+            i, j, shift = candidate_pairs(a0, a1, *second, periodic=periodic)
+            assert np.all(np.diff(i) >= 0)
+            lifts = [(0.0, 0.0)]
+            if periodic:
+                lifts = [(P * dx, P * dy) for dx in (-1, 0, 1)
+                         for dy in (-1, 0, 1)]
+            want = set()
+            for lift in lifts:
+                hit, _ = segment_hits(a0[:, None], a1[:, None],
+                                      c0[None] + lift, c1[None] + lift, 1e-9)
+                want |= {(p, q) for p, q in zip(*np.nonzero(hit))
+                         if second or p < q}
+            got = set(zip(i.tolist(), j.tolist()))
+            assert want and want <= got
+            hit, _ = segment_hits(a0[i], a1[i], c0[j] + shift, c1[j] + shift,
+                                  1e-9)
+            assert set(zip(i[hit].tolist(), j[hit].tolist())) == want

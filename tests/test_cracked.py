@@ -133,8 +133,8 @@ def test_verify_cracked_report(crack_report):
 def test_cracked_complex_attachment_matches_flow(crack_field, crack_report):
     # the extrema read off each boundary chain are where interior points flow
     from neumann_domains import torus
-    from neumann_domains.complexes import _point_in_polygon
     from neumann_domains.flow import BACKWARD, FORWARD, flow_endpoints
+    from neumann_domains.geometry import _point_in_polygon
     cx = crack_report.complex
     pts, owners = [], []
     for face in cx.faces:
