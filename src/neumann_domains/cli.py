@@ -89,14 +89,13 @@ def _apply_config(args):
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    # explicit flags win: only fill values still at the subcommand's defaults
+    defaults = vars(build_parser().parse_args([args.command]))
     for key, val in conf.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
-        # explicit flags win: only fill values still at their defaults
-        parser = build_parser()
-        default = parser.get_default(attr)
-        if getattr(args, attr) == default:
+        if getattr(args, attr) == defaults[attr]:
             setattr(args, attr, val)
     return args
 
@@ -157,7 +156,22 @@ def cmd_complex(args):
     return 0
 
 
+def _check_mesh_flags(args):
+    # ranges the mesher and the eigensolver enforce too, checked here so a
+    # bad flag fails before the complex is built
+    if not args.mesh_h > 0:
+        raise ValueError(f"--mesh-h {args.mesh_h} must be positive")
+    if args.num_eigs < 1:
+        raise ValueError(f"--num-eigs {args.num_eigs} must be at least 1")
+    if not 0 < args.cluster_tol < 0.5:
+        raise ValueError(f"--cluster-tol {args.cluster_tol} must lie in "
+                         "(0, 0.5)")
+    if args.truncate is not None and not 0 < args.truncate < 1:
+        raise ValueError(f"--truncate {args.truncate} must lie in (0, 1)")
+
+
 def _spectrum_report(args):
+    _check_mesh_flags(args)
     field = _load_field(args)
     cx = build_complex(field, args.seed_grid)
     if not 0 <= args.domain_index < len(cx.faces):

@@ -46,10 +46,6 @@ class NeumannDomain:
         self.cusps = []
         self.area = _polygon_area(self.polygon)
 
-    def corners(self):
-        """Lifted coordinates of the chain vertices."""
-        return np.array([p[0] for p in self.pieces])
-
     def to_dict(self):
         def py(v):
             if isinstance(v, (bool, np.bool_)):
@@ -343,11 +339,7 @@ def _fine_crossing(lines, li, lj, near):
 
 def _check_crossings(lines, critical_points, coarsen=10):
     """Raise LineCrossing if two lines intersect away from critical points."""
-    pts = [ln.samples[::coarsen] for ln in lines]
-    owner = np.concatenate([np.full(len(p) - 1, li)
-                            for li, p in enumerate(pts)])
-    a0 = np.concatenate([p[:-1] for p in pts])
-    a1 = np.concatenate([p[1:] for p in pts])
+    owner, _, a0, a1 = geometry.chords([ln.samples for ln in lines], coarsen)
     i, j, shift = geometry.candidate_pairs(a0, a1)
     other = owner[i] != owner[j]
     i, j, shift = i[other], j[other], shift[other]

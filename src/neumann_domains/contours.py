@@ -1,10 +1,15 @@
 """Contour extraction: nodal sets on the periodic torus and level arcs
 inside a single face.
 
-The nodal set is found by marching squares on a periodic lattice with the
-crossing points refined on the exact field; level lines used for cusp
-truncation are traced by a predictor-corrector walker that stays inside a
-given face polygon.
+The nodal set is found by one table-driven marching-squares pass over a
+periodic lattice (Lorensen & Cline 1987): numpy computes every cell's case
+code, a case table gives the crossing-edge pairs (saddle cells 5 and 10 are
+split by the sign at the cell centre), all crossing edges are refined on
+the exact field at once, and the segments are chained into closed loops
+through the two cells that share each crossing edge.  Level lines used for
+cusp truncation are traced by a predictor-corrector walker that stays
+inside a given face polygon; its boundary crossings are refined by the
+same root kernel.
 """
 
 import numpy as np
@@ -19,137 +24,122 @@ SADDLE_LEVEL_TOL = 1e-3    # crossing this close to a saddle is 'exceptional'
 # marching squares on the torus
 # ---------------------------------------------------------------------------
 
-def _edge_root(field, p0, p1, f0, f1, level=0.0, iters=30):
-    """Root of f - level on the segment p0-p1 (scalar bisection/secant mix)."""
-    a, b = 0.0, 1.0
+def _edge_roots(field, p0, p1, f0, f1, level=0.0, iters=30):
+    """Points where f == level on the segments p0[k]-p1[k], one per row.
+
+    f0, f1 are the field values at the ends, on either side of the level.
+    Each row keeps its own bracket: secant steps, every third one a
+    bisection; a row stops at an exact zero or once its bracket is shorter
+    than 1e-14, and otherwise ends at the smallest |f - level| seen.
+    """
+    d = p1 - p0
     fa, fb = f0 - level, f1 - level
-    best_t, best_f = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
+    a, b = np.zeros(len(d)), np.ones(len(d))
+    best_t = np.where(np.abs(fa) < np.abs(fb), a, b)
+    best_f = np.minimum(np.abs(fa), np.abs(fb))
+    t_root, live = best_t.copy(), np.arange(len(d))
     for it in range(iters):
-        if fb == fa or it % 3 == 2:   # interleave bisection to shrink the bracket
-            t = 0.5 * (a + b)
-        else:
-            t = a - fa * (b - a) / (fb - fa)
-        if not (a < t < b):
-            t = 0.5 * (a + b)
-        ft = field.value(p0 + t * (p1 - p0)) - level
-        if abs(ft) < best_f:
-            best_t, best_f = t, abs(ft)
-        if ft == 0.0:
-            return t
-        if (ft > 0) == (fa > 0):
-            a, fa = t, ft
-        else:
-            b, fb = t, ft
-        if b - a < 1e-14:
+        mid = 0.5 * (a + b)
+        sec = (fb != fa) & (it % 3 != 2)
+        t = np.where(sec, a - fa * (b - a) / np.where(sec, fb - fa, 1.0), mid)
+        t = np.where((a < t) & (t < b), t, mid)
+        ft = field.value(p0[live] + t[:, None] * d[live]) - level
+        better = (ft == 0.0) | (np.abs(ft) < best_f)
+        best_t[better], best_f[better] = t[better], np.abs(ft[better])
+        same = (ft > 0) == (fa > 0)
+        a, fa = np.where(same, t, a), np.where(same, ft, fa)
+        b, fb = np.where(same, b, t), np.where(same, fb, ft)
+        t_root[live] = best_t
+        keep = (ft != 0.0) & (b - a >= 1e-14)
+        live, a, b, fa, fb, best_t, best_f = (
+            v[keep] for v in (live, a, b, fa, fb, best_t, best_f))
+        if not len(live):
             break
-    return best_t
+    return p0 + t_root[:, None] * d
 
 
-def nodal_set(field, grid_res=512, level=0.0):
+# _CASES[code, centre > 0] holds the pairs of local edges that a cell joins
+# (-1 for none).  Bit k of code is set when corner k is above the level, with
+# corners c0 = (i, j), c1 = (i+1, j), c2 = (i+1, j+1), c3 = (i, j+1) and
+# edges 0 = c0-c1, 1 = c1-c2, 2 = c3-c2, 3 = c0-c3.  In the saddle cases 5
+# and 10 the sign at the centre decides which corners are cut off.
+_CASES = np.full((16, 2, 2, 2), -1)
+_CASES[[1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14], :, 0] = np.array(
+    [(0, 3), (0, 1), (3, 1), (1, 2), (0, 2), (3, 2), (2, 3), (0, 2), (1, 2),
+     (3, 1), (0, 1), (0, 3)])[:, None]
+_CASES[5] = [[(0, 3), (1, 2)], [(0, 1), (2, 3)]]
+_CASES[10] = _CASES[5, ::-1]
+
+
+def nodal_set(field, grid_res=512):
     """Zero contours of the field as polylines on the torus.
 
-    Returns a list of arrays of continuous (unwrapped) coordinates; closed
-    loops repeat their first point (up to a period shift for loops that wind
-    around the torus).  Empty when the field has a fixed sign.
+    Returns a list of arrays of continuous (unwrapped) coordinates.  Every
+    crossing edge of the lattice borders two cells, so each polyline is a
+    closed loop that repeats its first point (up to a period shift for a
+    loop that winds around the torus).  Empty when the field has a fixed
+    sign.
     """
     n = int(grid_res)
     g = np.arange(n) / n * torus.PERIOD
     step = torus.PERIOD / n
     X, Y = np.meshgrid(g, g, indexing="ij")
-    raw = field.value(np.stack([X, Y], axis=-1))
+    raw = field.value(np.stack([X, Y], axis=-1)).ravel()
     # an infinitesimal level shift removes exact zeros at lattice points and
     # splits nodal crossings at saddles into separate branches
-    bias = 1e-9 * max(1.0, float(np.max(np.abs(raw))))
-    level = level + bias
-    F = raw - level
-    S = F > 0
-
-    # crossing edges: ('h', i, j) from node (i,j) towards +x, ('v',i,j) towards +y
-    cross = {}
-
-    def edge_point(kind, i, j):
-        key = (kind, i, j)
-        if key in cross:
-            return key
-        p0 = np.array([g[i], g[j]])
-        p1 = p0 + (np.array([step, 0.0]) if kind == "h" else np.array([0.0, step]))
-        i1, j1 = ((i + 1) % n, j) if kind == "h" else (i, (j + 1) % n)
-        t = _edge_root(field, p0, p1, F[i, j] + level, F[i1, j1] + level, level)
-        cross[key] = p0 + t * (p1 - p0)
-        return key
-
-    segments = []
-    for i in range(n):
-        i1 = (i + 1) % n
-        for j in range(n):
-            j1 = (j + 1) % n
-            code = (int(S[i, j]) | int(S[i1, j]) << 1
-                    | int(S[i1, j1]) << 2 | int(S[i, j1]) << 3)
-            if code in (0, 15):
-                continue
-            bottom = ("h", i, j)
-            right = ("v", i1, j)
-            top = ("h", i, j1)
-            left = ("v", i, j)
-            # unordered connections; corners are c0=(i,j) c1=(i1,j) c2=(i1,j1) c3=(i,j1)
-            pairs = {
-                1: [(bottom, left)], 2: [(bottom, right)], 3: [(left, right)],
-                4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
-                8: [(top, left)], 9: [(bottom, top)], 11: [(right, top)],
-                12: [(left, right)], 13: [(bottom, right)], 14: [(bottom, left)],
-            }
-            if code in (5, 10):
-                center = field.value(np.array([g[i] + 0.5 * step,
-                                               g[j] + 0.5 * step])) - level
-                if code == 5:
-                    segs = ([(bottom, right), (top, left)] if center > 0
-                            else [(bottom, left), (right, top)])
-                else:
-                    segs = ([(bottom, left), (right, top)] if center > 0
-                            else [(bottom, right), (top, left)])
-            else:
-                segs = pairs[code]
-            for a, b in segs:
-                segments.append((edge_point(*a), edge_point(*b)))
-
-    if not segments:
+    level = 1e-9 * max(1.0, float(np.max(np.abs(raw))))
+    up = (raw > level).reshape(n, n).astype(int)
+    right = np.roll(up, -1, 0)
+    code = (up | right << 1 | np.roll(right, -1, 1) << 2
+            | np.roll(up, -1, 1) << 3).ravel()
+    cells = np.flatnonzero((code != 0) & (code != 15))
+    if not len(cells):
         return []
+    code = code[cells]
+    i, j = np.divmod(cells, n)
+    centre = np.zeros(len(cells), dtype=int)
+    sad = (code == 5) | (code == 10)
+    centre[sad] = field.value(
+        np.stack([g[i[sad]] + 0.5 * step, g[j[sad]] + 0.5 * step], -1)) > level
+    # edge ids: node id i*n + j for the edge from node (i, j) towards +x,
+    # n*n + node id for the one towards +y
+    edges = np.stack([i * n + j, n * n + (i + 1) % n * n + j,
+                      i * n + (j + 1) % n, n * n + i * n + j], -1)
+    pairs = _CASES[code, centre].reshape(-1, 4)
+    ends = np.take_along_axis(edges, pairs % 4, 1)[pairs >= 0]
 
-    # chain segments into polylines via shared edge keys
-    adj = {}
-    for si, (a, b) in enumerate(segments):
-        adj.setdefault(a, []).append(si)
-        adj.setdefault(b, []).append(si)
-    used = np.zeros(len(segments), dtype=bool)
-    polylines = []
-    for s0 in range(len(segments)):
-        if used[s0]:
+    # sorting the segment ends pairs up the two ends on each crossing edge
+    order = np.argsort(ends, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order)) // 2
+    vert, node = np.divmod(ends[order[0::2]], n * n)
+    ei, ej = np.divmod(node, n)
+    p0 = np.stack([g[ei], g[ej]], -1)
+    p1 = p0 + np.where(vert[:, None] == 1, [0.0, step], [step, 0.0])
+    far = np.where(vert == 1, ei * n + (ej + 1) % n, (ei + 1) % n * n + ej)
+    roots = _edge_roots(field, p0, p1, raw[node], raw[far], level)
+
+    # walk each loop from its first segment s: end 2s+1 leads to its
+    # partner end, whose other end leads on
+    nxt = (partner ^ 1).tolist()
+    used = np.zeros(len(ends) // 2, dtype=bool)
+    walk, first = [], []
+    for s in range(len(used)):
+        if used[s]:
             continue
-        used[s0] = True
-        a0, b0 = segments[s0]
-        keys = [a0, b0]
-        # extend forward then backward
-        for end in (1, 0):
-            while True:
-                tip = keys[-1] if end == 1 else keys[0]
-                nxt = [si for si in adj[tip] if not used[si]]
-                if not nxt:
-                    break
-                si = nxt[0]
-                used[si] = True
-                a, b = segments[si]
-                new = b if a == tip else a
-                if end == 1:
-                    keys.append(new)
-                else:
-                    keys.insert(0, new)
-        pts = np.array([cross[k] for k in keys])
-        # make coordinates continuous along the polyline
-        out = [pts[0]]
-        for p in pts[1:]:
-            out.append(torus.nearest_lift(p, out[-1]))
-        polylines.append(np.array(out))
-    return polylines
+        first.append(len(walk))
+        walk += [2 * s, 2 * s + 1]
+        while nxt[walk[-1]] != 2 * s + 1:
+            walk.append(nxt[walk[-1]])
+        used[np.array(walk[first[-1]:]) >> 1] = True
+    pts = roots[row[walk]]
+    # continuous coordinates: one period round per step, reset at each loop
+    lift = np.cumsum(np.round((pts[:-1] - pts[1:]) / torus.PERIOD), axis=0)
+    lift = np.vstack([np.zeros((1, 2)), lift])
+    lift -= np.repeat(lift[first], np.diff(first + [len(walk)]), axis=0)
+    return np.split(pts + torus.PERIOD * lift, first[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +147,21 @@ def nodal_set(field, grid_res=512, level=0.0):
 # ---------------------------------------------------------------------------
 
 def _boundary_crossings(field, polygon, level):
-    """Points where f == level on a closed polygon, by sign scan + refinement."""
-    vals = field.value(polygon) - level
-    pts = []
-    for k in range(len(polygon) - 1):
-        f0, f1 = vals[k], vals[k + 1]
-        if f0 == 0.0:
-            pts.append((k, polygon[k].copy()))
-        elif (f0 > 0) != (f1 > 0):
-            t = _edge_root(field, polygon[k], polygon[k + 1],
-                           f0 + level, f1 + level, level)
-            pts.append((k, polygon[k] + t * (polygon[k + 1] - polygon[k])))
-    return pts
+    """Points where f == level on a closed polygon, in chain order.
+
+    A vertex on the level counts as it is; each edge whose ends straddle the
+    level is refined by its own one-row _edge_roots call, which evaluates
+    the field bit for bit as a single point does (a batched evaluation can
+    differ in the last bit and move the cut).
+    """
+    raw = field.value(polygon)
+    f0, f1 = raw[:-1] - level, raw[1:] - level
+    on = f0 == 0.0
+    straddle = ~on & ((f0 > 0) != (f1 > 0))
+    return [polygon[k].copy() if on[k] else
+            _edge_roots(field, polygon[k:k + 1], polygon[k + 1:k + 2],
+                        raw[k:k + 1], raw[k + 1:k + 2], level)[0]
+            for k in np.flatnonzero(on | straddle)]
 
 
 def level_arc_in_face(field, face, level, saddle_positions=(),
@@ -181,15 +174,12 @@ def level_arc_in_face(field, face, level, saddle_positions=(),
     """
     polygon = face.polygon
     hits = _boundary_crossings(field, polygon, level)
-    if len(hits) < 2:
+    if len(hits) != 2:
+        # an arc has two ends; more crossings mean the level passes a
+        # saddle corner of the face
         raise ExceptionalLevel(
             f"level {level} meets the face boundary {len(hits)} times")
-    if len(hits) > 2:
-        # keep the two extreme crossings along the chain; extra pairs indicate
-        # a level passing a saddle corner
-        raise ExceptionalLevel(
-            f"level {level} meets the face boundary {len(hits)} times")
-    (_, A), (_, B) = hits
+    A, B = hits
     for s in saddle_positions:
         if min(torus.dist(s, torus.wrap(A)), torus.dist(s, torus.wrap(B))) \
                 < SADDLE_LEVEL_TOL:
@@ -259,19 +249,6 @@ def polyline_intersections(lines_a, lines_b):
     (unwrapped) coordinate arrays; lines_a is tested on chords over every
     POLYLINE_COARSEN-th sample.
     """
-    def segs_of(lines, stride):
-        line, start, p0, p1 = [], [], [], []
-        for li, pts in enumerate(lines):
-            p = pts[::stride]
-            if not np.array_equal(p[-1], pts[-1]):
-                p = np.vstack([p, pts[-1]])
-            line.append(np.full(len(p) - 1, li))
-            start.append(stride * np.arange(len(p) - 1))
-            p0.append(p[:-1])
-            p1.append(p[1:])
-        return (np.concatenate(line), np.concatenate(start),
-                np.concatenate(p0), np.concatenate(p1))
-
     def secant(pts, idx, arc):
         cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         cs = np.concatenate([[0.0], np.cumsum(cum)])
@@ -282,8 +259,8 @@ def polyline_intersections(lines_a, lines_b):
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
 
-    la, ka, p0, p1 = segs_of(lines_a, POLYLINE_COARSEN)
-    lb, kb, q0, q1 = segs_of(lines_b, 1)
+    la, ka, p0, p1 = geometry.chords(lines_a, POLYLINE_COARSEN)
+    lb, kb, q0, q1 = geometry.chords(lines_b, 1)
     ib, ia, shift = geometry.candidate_pairs(q0, q1, p0, p1)
     # translate each candidate segment of a into the raw frame of b's
     a0, a1 = p0[ia] + shift, p1[ia] + shift

@@ -86,14 +86,6 @@ class FlowLine:
         seg = np.diff(samples, axis=0)
         self.length = float(np.sum(np.linalg.norm(seg, axis=1)))
 
-    @property
-    def start_point(self):
-        return self.samples[0]
-
-    @property
-    def end_point(self):
-        return self.samples[-1]
-
     def point_at_radius(self, which_end, r):
         """First sample at least distance r from the given end ('start'|'end').
 

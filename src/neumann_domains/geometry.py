@@ -1,8 +1,9 @@
 """Segment and polygon geometry shared by the complex, the contours and the
 mesher.
 
-One exact segment-segment test, one broad phase that finds the segment
-pairs that can intersect (on the torus or in the plane), and the even-odd
+One exact segment-segment test, the chords that stand in for sampled
+polylines, one broad phase that finds the segment pairs that can
+intersect (on the torus or in the plane), and the even-odd
 point-in-polygon rule.  Every question "which segments intersect?" in the
 package is answered here.
 """
@@ -33,6 +34,26 @@ def segment_hits(a0, a1, b0, b1, eps):
     u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / rxs
     hit = ok & (eps < t) & (t < 1 - eps) & (eps < u) & (u < 1 - eps)
     return hit, t
+
+
+def chords(lines, stride):
+    """Chords over every stride-th sample of each polyline, plus its last.
+
+    Returns (owner, start, p0, p1): the line and the first sample index of
+    each chord, and its endpoints.  The last chord of a line ends at its
+    last sample, so no stretch of a line is left out.
+    """
+    owner, start, p0, p1 = [], [], [], []
+    for li, pts in enumerate(lines):
+        idx = np.arange(0, len(pts), stride)
+        if idx[-1] != len(pts) - 1:
+            idx = np.append(idx, len(pts) - 1)
+        owner.append(np.full(len(idx) - 1, li))
+        start.append(idx[:-1])
+        p0.append(pts[idx[:-1]])
+        p1.append(pts[idx[1:]])
+    return (np.concatenate(owner), np.concatenate(start),
+            np.concatenate(p0), np.concatenate(p1))
 
 
 def _tree(mid, periodic):

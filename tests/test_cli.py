@@ -1,6 +1,7 @@
 import json
 import os
 
+from neumann_domains import cli
 from neumann_domains.cli import main
 
 
@@ -88,26 +89,42 @@ def test_config_file_with_flag_override(tmp_path):
     data = json.loads((out / "position.json").read_text())
     assert data["config"]["mesh_h"] == 0.25      # flag wins
     assert data["config"]["field"] == "separable"
+    assert data["config"]["seed_grid"] == 16     # config fills a default
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     # 2: configuration problems
     assert main(["crit", "--field", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["spectrum", "--field", "anisotropic", "--domain-index",
                  "99", "--out", str(tmp_path / "o")]) == 2
-    # out-of-range mesh size, eigenvalue count and cluster tolerance
-    quick = ["--field", "separable", "--seed-grid", "16", "--out",
-             str(tmp_path / "o")]
-    for flags in (["--mesh-h", "0"], ["--mesh-h", "-0.1"],
-                  ["--mesh-h", "0.3", "--num-eigs", "0"],
-                  ["--mesh-h", "0.3", "--num-eigs", "4", "--cluster-tol",
-                   "0.6"]):
-        assert main(["position", *quick, *flags]) == 2, flags
     # 3: numerical failure (spectrum does not extend past lam)
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",
                  "--out", str(tmp_path / "o")]) == 3
+
+    # out-of-range mesh size, eigenvalue count, cluster tolerance and
+    # truncation level: rejected before the complex is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_complex ran for a bad flag")
+
+    monkeypatch.setattr(cli, "build_complex", no_build)
+    quick = ["--field", "separable", "--seed-grid", "16", "--out",
+             str(tmp_path / "o")]
+    for flags in (["--mesh-h", "0"], ["--mesh-h", "-0.1"],
+                  ["--mesh-h", "nan"],
+                  ["--mesh-h", "0.3", "--num-eigs", "0"],
+                  ["--mesh-h", "0.3", "--num-eigs", "4", "--cluster-tol",
+                   "0.6"],
+                  ["--cluster-tol", "0.5"], ["--cluster-tol", "0"],
+                  ["--truncate", "0"], ["--truncate", "1"],
+                  ["--truncate", "-0.5"]):
+        for command in ("position", "spectrum"):
+            assert main([command, *quick, *flags]) == 2, (command, flags)
+    # the same checks apply to values read from a config file
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps({"mesh-h": 0.0}))
+    assert main(["position", "--config", str(conf), *quick]) == 2
 
 
 def test_verify_single_field(tmp_path):

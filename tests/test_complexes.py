@@ -195,6 +195,19 @@ def test_nodal_separable_diagonals(separable):
     assert total == pytest.approx(4 * np.sqrt(2) * np.pi, rel=1e-3)
 
 
+def test_nodal_loop_point_counts(lambda17, separable):
+    # every crossing edge borders two cells, so each polyline is a closed
+    # loop; counts recorded with the per-cell marching squares that the
+    # table-driven pass replaced
+    for field, res, counts in ((lambda17, 384, [2259, 2259]),
+                               (separable, 256, [1021])):
+        polylines = nodal_set(field, res)
+        assert [len(p) for p in polylines] == counts
+        for p in polylines:
+            turns = (p[-1] - p[0]) / (2 * np.pi)
+            assert np.max(np.abs(turns - np.round(turns))) < 1e-12
+
+
 def test_nodal_vertical_lines():
     from neumann_domains import MorseField
     polylines = nodal_set(MorseField([(1.0, 1, 0, 0.0)]), 128)
@@ -275,20 +288,25 @@ def test_generic_lambda5_field():
 
 
 def test_synthetic_line_crossing_detected(sep_complex):
-    # two fabricated straight lines crossing at a right angle must raise
+    # two fabricated straight lines crossing at a right angle must raise,
+    # also where the crossing lies past a's last stride-5 sample (1004
+    # samples: the last chord runs from sample 1000 to 1003)
     from neumann_domains.complexes import _check_crossings
     from neumann_domains.errors import LineCrossing
     from neumann_domains.flow import FlowLine
 
-    s = np.linspace(0.0, 1.0, 1001)
-    a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
-    b = np.stack([np.full_like(s, 1.50043), 1.0 + s], axis=-1)
-    la = FlowLine(a, "forward", None, None, None, None)
-    # the same crossing with b's unwrapped coordinates a period away
-    for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
-        lb = FlowLine(b + lift, "forward", None, None, None, None)
-        with pytest.raises(LineCrossing):
-            _check_crossings([la, lb], sep_complex.critical_points, coarsen=5)
+    for n_a, x_b in ((1001, 1.50043), (1004, 1.9985)):
+        s = np.linspace(0.0, 1.0, n_a)
+        a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
+        s = np.linspace(0.0, 1.0, 1001)
+        b = np.stack([np.full_like(s, x_b), 1.0 + s], axis=-1)
+        la = FlowLine(a, "forward", None, None, None, None)
+        # the same crossing with b's unwrapped coordinates a period away
+        for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
+            lb = FlowLine(b + lift, "forward", None, None, None, None)
+            with pytest.raises(LineCrossing):
+                _check_crossings([la, lb], sep_complex.critical_points,
+                                 coarsen=5)
 
 
 def test_faces_tile_torus(l17_complex):

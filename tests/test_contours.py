@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from neumann_domains import level_arc_in_face
-from neumann_domains.contours import polyline_length
+from neumann_domains.contours import _edge_roots, polyline_length
 from neumann_domains.errors import ExceptionalLevel
 
 
@@ -99,3 +99,57 @@ def test_level_arc_saddle_exception(lambda17, l17_complex):
         level_arc_in_face(lambda17, face, t_exc * vmax,
                           [cx.critical_points[i].position
                            for i in face.saddle_indices])
+
+
+def _edge_root_reference(field, p0, p1, f0, f1, level=0.0, iters=30):
+    """Scalar root of f - level on p0-p1, one field value per step."""
+    a, b = 0.0, 1.0
+    fa, fb = f0 - level, f1 - level
+    best_t, best_f = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
+    for it in range(iters):
+        if fb == fa or it % 3 == 2:   # interleave bisection
+            t = 0.5 * (a + b)
+        else:
+            t = a - fa * (b - a) / (fb - fa)
+        if not (a < t < b):
+            t = 0.5 * (a + b)
+        ft = field.value(p0 + t * (p1 - p0)) - level
+        if abs(ft) < best_f:
+            best_t, best_f = t, abs(ft)
+        if ft == 0.0:
+            return t
+        if (ft > 0) == (fa > 0):
+            a, fa = t, ft
+        else:
+            b, fb = t, ft
+        if b - a < 1e-14:
+            break
+    return best_t
+
+
+def test_edge_roots_match_scalar_reference(lambda17):
+    # every crossing edge of the biased zero level on the 64-lattice
+    n = 64
+    g = np.arange(n) / n * 2 * np.pi
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    raw = lambda17.value(np.stack([X, Y], axis=-1))
+    level = 1e-9 * max(1.0, float(np.max(np.abs(raw))))
+    above = raw - level > 0
+    p0, p1, f0, f1 = [], [], [], []
+    for axis, offset in ((0, [2 * np.pi / n, 0.0]), (1, [0.0, 2 * np.pi / n])):
+        i, j = np.nonzero(above != np.roll(above, -1, axis))
+        p0.append(np.stack([g[i], g[j]], axis=-1))
+        p1.append(p0[-1] + offset)
+        f0.append(raw[i, j])
+        f1.append(np.roll(raw, -1, axis)[i, j])
+    p0, p1, f0, f1 = (np.concatenate(v) for v in (p0, p1, f0, f1))
+    assert len(p0) > 500
+    batched = _edge_roots(lambda17, p0, p1, f0, f1, level)
+    for k in range(len(p0)):
+        t = _edge_root_reference(lambda17, p0[k], p1[k], f0[k], f1[k], level)
+        ref = p0[k] + t * (p1[k] - p0[k])
+        one = _edge_roots(lambda17, p0[k:k + 1], p1[k:k + 1], f0[k:k + 1],
+                          f1[k:k + 1], level)[0]
+        assert np.array_equal(one, ref), k
+        assert np.max(np.abs(batched[k] - ref)) <= 1e-13, k
+    assert np.max(np.abs(lambda17.value(batched) - level)) < 1e-12

@@ -242,23 +242,27 @@ MESH_SHA256 = {
                           "18a2c0d65943a8d8a8c7aa555789deb8",
     "lambda17_cusped": "5a9955a235094f79ad0f8fe16cf640ba"
                        "259d9f4eecae422168775a1d9ca0db7f",
+    "lambda17_truncated": "c32e399e215d899d81c5a1af086d8c40"
+                          "128403b27b87e87a8989b90ec7023f3a",
 }
 
 
 def test_mesh_digests_unchanged(separable, sep_complex, lambda17,
                                 l17_complex):
     faces = l17_complex.faces
+    cusped = next(f for f in faces if any(c["confirmed"] for c in f.cusps))
+    # name: (field, complex, face, h, truncation level t)
     cases = {
         "separable": (separable, sep_complex, sep_complex.faces[0],
-                      np.pi / 32),
+                      np.pi / 32, None),
         "lambda17_cusp_free": (lambda17, l17_complex, next(
             f for f in faces if not any(c["confirmed"] for c in f.cusps)),
-            0.04),
-        "lambda17_cusped": (lambda17, l17_complex, next(
-            f for f in faces if any(c["confirmed"] for c in f.cusps)), 0.04),
+            0.04, None),
+        "lambda17_cusped": (lambda17, l17_complex, cusped, 0.04, None),
+        "lambda17_truncated": (lambda17, l17_complex, cusped, 0.05, 0.99),
     }
-    for name, (field, cx, face, h) in cases.items():
-        mesh = mesh_domain(field, face, h,
+    for name, (field, cx, face, h, t) in cases.items():
+        mesh = mesh_domain(field, face, h, t=t,
                            critical_points=cx.critical_points)
         digest = hashlib.sha256(mesh.vertices.tobytes()
                                 + mesh.triangles.tobytes()).hexdigest()
