@@ -14,8 +14,7 @@ from .critical import CriticalPoint, euler_check, find_critical_points
 from .fem import (SpectrumReport, assemble_p1, domain_spectrum_report,
                   neumann_spectrum, restriction_residual, spectral_position)
 from .fields import CrackPerturbation, MorseField, load_bundled
-from .flow import (FlowLine, NeumannLine, StopRule, integrate_flow,
-                   trace_all_neumann_lines, trace_neumann_lines)
+from .flow import FlowLine, integrate_flow, trace_all_neumann_lines
 from .meshing import (TriMesh, TruncatedDomain, cusp_length_decay,
                       mesh_domain, structured_rect_mesh, truncate_domain)
 from .svg import render_complex_svg
@@ -25,14 +24,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CrackPerturbation", "CriticalPoint", "FlowLine", "MorseField",
-    "NeumannComplex", "NeumannDomain", "NeumannLine", "SpectrumReport",
-    "StopRule", "TriMesh", "TruncatedDomain", "assemble_p1",
-    "build_complex", "build_crack_perturbation", "cusp_exponent",
-    "cusp_length_decay", "domain_spectrum_report", "euler_check",
-    "find_critical_points", "integrate_flow",
-    "level_arc_in_face", "load_bundled", "mesh_domain",
+    "NeumannComplex", "NeumannDomain", "SpectrumReport", "TriMesh",
+    "TruncatedDomain", "assemble_p1", "build_complex",
+    "build_crack_perturbation", "cusp_exponent", "cusp_length_decay",
+    "domain_spectrum_report", "euler_check", "find_critical_points",
+    "integrate_flow", "level_arc_in_face", "load_bundled", "mesh_domain",
     "neumann_spectrum", "nodal_neumann_angles", "nodal_set",
     "render_complex_svg", "restriction_residual", "run_invariants",
     "spectral_position", "structured_rect_mesh", "trace_all_neumann_lines",
-    "trace_neumann_lines", "truncate_domain", "verify_cracked",
+    "truncate_domain", "verify_cracked",
 ]

@@ -168,6 +168,10 @@ def _check_mesh_flags(args):
                          "(0, 0.5)")
     if args.truncate is not None and not 0 < args.truncate < 1:
         raise ValueError(f"--truncate {args.truncate} must lie in (0, 1)")
+    if not args.grading > 0:
+        raise ValueError(f"--grading {args.grading} must be positive")
+    if args.lam is not None and not args.lam >= 0:
+        raise ValueError(f"--lam {args.lam} must be non-negative")
 
 
 def _spectrum_report(args):
@@ -185,12 +189,12 @@ def _spectrum_report(args):
         if not field.is_eigenfunction:
             raise ValueError("--lam is required for non-eigenfunction fields")
         lam = field.eigenvalue()
-    return field, cx, face, mesh, domain_spectrum_report(
-        field, mesh, lam, args.num_eigs, args.cluster_tol)
+    return mesh, domain_spectrum_report(field, mesh, lam, args.num_eigs,
+                                        args.cluster_tol)
 
 
 def cmd_spectrum(args):
-    _, _, _, mesh, report = _spectrum_report(args)
+    mesh, report = _spectrum_report(args)
     path = _write(args, "spectrum.json", report.to_dict())
     mesh.to_off(os.path.join(args.out, "domain.off"))
     mesh.boundary_sidecar(os.path.join(args.out, "domain_boundary.json"))
@@ -200,7 +204,7 @@ def cmd_spectrum(args):
 
 
 def cmd_position(args):
-    *_, report = _spectrum_report(args)
+    _, report = _spectrum_report(args)
     _write(args, "position.json", {
         "lambda": report.lam,
         "position": report.position,

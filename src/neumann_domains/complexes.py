@@ -26,6 +26,9 @@ CUSP_ANGLE_THRESHOLD = np.deg2rad(5.0)
 CUSP_FIT_RADIUS = 0.1
 CUSP_FIT_R2 = 0.99
 CROSSING_EXCLUSION = 5e-3  # ignore near-critical-point contacts
+REPORT_DECIMATE = 10       # every n-th line sample goes into the report
+NODAL_SADDLE_RADIUS = 1e-2  # nodal crossings this close to a saddle sit on it
+NODAL_SECANT_ARC = 0.01    # half-length of the nodal secant at other crossings
 REGULAR, CRACKED, DOUBLY_CRACKED = "regular", "cracked", "doublyCracked"
 
 
@@ -44,7 +47,7 @@ class NeumannDomain:
         self.classification = None
         self.crack_line_ids = []
         self.cusps = []
-        self.area = _polygon_area(self.polygon)
+        self.area = geometry.polygon_area(self.polygon)
 
     def to_dict(self):
         def py(v):
@@ -67,11 +70,6 @@ class NeumannDomain:
             "cusps": [{k: py(v) for k, v in c.items()} for c in self.cusps],
             "area": float(self.area),
         }
-
-
-def _polygon_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 class NeumannComplex:
@@ -135,10 +133,10 @@ class NeumannComplex:
 
     # -- export ----------------------------------------------------------------
 
-    def to_dict(self, decimate=10):
+    def to_dict(self):
         lines = []
         for ln in self.lines:
-            pts = ln.samples[::decimate]
+            pts = ln.samples[::REPORT_DECIMATE]
             if not np.array_equal(pts[-1], ln.samples[-1]):
                 pts = np.vstack([pts, ln.samples[-1]])
             lines.append({
@@ -156,8 +154,8 @@ class NeumannComplex:
                        "F": len(self.faces)},
         }
 
-    def to_json(self, path=None, decimate=10):
-        s = json.dumps(self.to_dict(decimate=decimate), sort_keys=True)
+    def to_json(self, path=None):
+        s = json.dumps(self.to_dict(), sort_keys=True)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(s + "\n")
@@ -361,8 +359,7 @@ def _check_crossings(lines, critical_points, coarsen=10):
             raise LineCrossing(f"lines {li} and {lj} cross near {x}")
 
 
-def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines,
-                       radius=CUSP_FIT_RADIUS):
+def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines):
     """Log-log fit of the boundary pair separation near a cusp vertex.
 
     Both boundary curves leave the cusp tangent to the slow Hessian axis;
@@ -392,7 +389,7 @@ def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines,
         # contiguous prefix of the outgoing curve inside the fit radius
         r = np.hypot(xi, up)
         n = len(r)
-        stop = np.searchsorted(np.maximum.accumulate(r), radius)
+        stop = np.searchsorted(np.maximum.accumulate(r), CUSP_FIT_RADIUS)
         m = np.zeros(n, dtype=bool)
         m[:stop] = True
         m &= xi > 0
@@ -437,8 +434,7 @@ def _attach_extrema(face, cps):
     face.min_index = int(minima.pop())
 
 
-def build_complex(field, seed_grid=24, critical_points=None,
-                  check_crossings=True):
+def build_complex(field, seed_grid=24, critical_points=None):
     """Trace the Neumann line set and assemble the partition of the torus.
 
     Raises EulerMismatch if V - E + F != 0 and LineCrossing if traced lines
@@ -448,8 +444,7 @@ def build_complex(field, seed_grid=24, critical_points=None,
     saddles = [c for c in cps if c.kind == SADDLE]
     groups = trace_all_neumann_lines(field, saddles, cps)
     lines = [ln for g in groups for ln in g]
-    if check_crossings:
-        _check_crossings(lines, cps)
+    _check_crossings(lines, cps)
 
     # rotation system: outgoing darts at each vertex, CCW by probe angle
     darts_at = {}
@@ -531,8 +526,7 @@ def build_complex(field, seed_grid=24, critical_points=None,
 # nodal set interplay
 # ---------------------------------------------------------------------------
 
-def nodal_neumann_angles(cx, nodal_polylines, saddle_radius=1e-2,
-                         secant_arc=0.01):
+def nodal_neumann_angles(cx, nodal_polylines):
     """Meeting angles at intersections of the nodal set with Neumann lines.
 
     At a saddle the angle comes from the Hessian eigenframe against the nodal
@@ -550,7 +544,7 @@ def nodal_neumann_angles(cx, nodal_polylines, saddle_radius=1e-2,
         d = torus.dist(crit_xy, pt)
         j = int(np.argmin(d))
         cp = cx.critical_points[j]
-        if d[j] < saddle_radius and cp.kind == SADDLE:
+        if d[j] < NODAL_SADDLE_RADIUS and cp.kind == SADDLE:
             h1, h2 = cp.hess_eigvals
             psi = np.arctan(np.sqrt(-h1 / h2))   # nodal branch vs eigenframe
             ang = min(psi, np.pi / 2 - psi)
@@ -566,8 +560,8 @@ def nodal_neumann_angles(cx, nodal_polylines, saddle_radius=1e-2,
                     q = q - (field.value(q) - level) * g / np.dot(g, g)
                 return q
 
-            pa = on_level(pt + secant_arc * vb)
-            pb = on_level(pt - secant_arc * vb)
+            pa = on_level(pt + NODAL_SECANT_ARC * vb)
+            pb = on_level(pt - NODAL_SECANT_ARC * vb)
             vn = pa - pb
             cb = np.arctan2(vn[1], vn[0])
             ca = np.arctan2(va[1], va[0])

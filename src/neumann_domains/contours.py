@@ -18,13 +18,15 @@ from . import geometry, torus
 from .errors import ExceptionalLevel
 
 SADDLE_LEVEL_TOL = 1e-3    # crossing this close to a saddle is 'exceptional'
+ROOT_ITERS = 30            # secant/bisection rounds per crossing edge
+LEVEL_ARC_MAX_STEPS = 400000
 
 
 # ---------------------------------------------------------------------------
 # marching squares on the torus
 # ---------------------------------------------------------------------------
 
-def _edge_roots(field, p0, p1, f0, f1, level=0.0, iters=30):
+def _edge_roots(field, p0, p1, f0, f1, level=0.0):
     """Points where f == level on the segments p0[k]-p1[k], one per row.
 
     f0, f1 are the field values at the ends, on either side of the level.
@@ -38,7 +40,7 @@ def _edge_roots(field, p0, p1, f0, f1, level=0.0, iters=30):
     best_t = np.where(np.abs(fa) < np.abs(fb), a, b)
     best_f = np.minimum(np.abs(fa), np.abs(fb))
     t_root, live = best_t.copy(), np.arange(len(d))
-    for it in range(iters):
+    for it in range(ROOT_ITERS):
         mid = 0.5 * (a + b)
         sec = (fb != fa) & (it % 3 != 2)
         t = np.where(sec, a - fa * (b - a) / np.where(sec, fb - fa, 1.0), mid)
@@ -164,8 +166,7 @@ def _boundary_crossings(field, polygon, level):
             for k in np.flatnonzero(on | straddle)]
 
 
-def level_arc_in_face(field, face, level, saddle_positions=(),
-                      max_steps=400000):
+def level_arc_in_face(field, face, level, saddle_positions=()):
     """Trace the level line f == level through the interior of a face.
 
     Level lines of a Morse function restricted to one face are single arcs
@@ -204,7 +205,7 @@ def level_arc_in_face(field, face, level, saddle_positions=(),
     pts = [A]
     x = A.copy()
     prev_tan = tan
-    for it in range(max_steps):
+    for it in range(LEVEL_ARC_MAX_STEPS):
         x_try = correct(x + h * prev_tan)
         g = field.gradient(x_try)
         tan = np.array([-g[1], g[0]])

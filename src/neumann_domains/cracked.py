@@ -20,10 +20,11 @@ LINEARITY_TOL = 0.05
 # clear the slope with the gamma(0) = e^{-1} attenuation included
 GAMMA0 = float(np.exp(-1.0))
 EFFECTIVE_PEAK = BUMP_PEAK * GAMMA0
+PATCH_GRID = 41        # samples per side of the patch checks
 
 
-def _patch_grid(center, frame, scale, n=41):
-    loc = np.linspace(-1.0, 1.0, n)
+def _patch_grid(center, frame, scale):
+    loc = np.linspace(-1.0, 1.0, PATCH_GRID)
     lx, ly = np.meshgrid(loc, loc, indexing="ij")
     lxy = np.stack([lx.ravel(), ly.ravel()], axis=-1)
     return torus.wrap(center + (lxy * scale) @ frame.T), lxy

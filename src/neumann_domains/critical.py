@@ -7,6 +7,7 @@ from .errors import NotMorse, SeedGridTooCoarse
 
 NEWTON_TOL = 1e-12        # on |grad f|
 NEWTON_MAX_ITER = 50
+NEWTON_MAX_STEP = 0.5     # damping: longest Newton step taken
 DEDUP_RADIUS = 1e-6       # torus metric
 HESS_PROP_TOL = 1e-8      # relative gap of Hessian eigenvalues
 MORSE_DET_TOL = 1e-8      # |h_min| / |h_max| below this counts as degenerate
@@ -62,15 +63,14 @@ class CriticalPoint:
         }
 
 
-def _newton_batch(field, seeds, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                  max_step=0.5):
+def _newton_batch(field, seeds):
     """Damped Newton on grad f = 0 from many seeds at once.
 
     Returns converged positions (wrapped) only.
     """
     X = np.array(seeds, dtype=float)
     active = np.ones(len(X), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
         G = field.gradient(X[active])
@@ -83,22 +83,22 @@ def _newton_batch(field, seeds, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
         step[ok, 0] = -(H[ok, 1, 1] * G[ok, 0] - H[ok, 0, 1] * G[ok, 1]) / det[ok]
         step[ok, 1] = -(-H[ok, 1, 0] * G[ok, 0] + H[ok, 0, 0] * G[ok, 1]) / det[ok]
         norm = np.linalg.norm(step, axis=1)
-        big = norm > max_step
-        step[big] *= (max_step / norm[big])[:, None]
+        big = norm > NEWTON_MAX_STEP
+        step[big] *= (NEWTON_MAX_STEP / norm[big])[:, None]
         idx = np.flatnonzero(active)
         X[idx] = X[idx] + step
-        done = (gn <= tol) | ~ok
+        done = (gn <= NEWTON_TOL) | ~ok
         active[idx[done]] = False
     G = field.gradient(X)
-    conv = np.linalg.norm(G, axis=1) <= tol
+    conv = np.linalg.norm(G, axis=1) <= NEWTON_TOL
     return torus.wrap(X[conv])
 
 
-def _dedup(points, radius=DEDUP_RADIUS):
-    """Merge points closer than radius in the torus metric (keep the first)."""
+def _dedup(points):
+    """Merge points closer than DEDUP_RADIUS on the torus (keep the first)."""
     kept = []
     for p in points:
-        if not kept or np.min(torus.dist(np.array(kept), p)) > radius:
+        if not kept or np.min(torus.dist(np.array(kept), p)) > DEDUP_RADIUS:
             kept.append(p)
     return np.array(kept)
 

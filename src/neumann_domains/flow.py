@@ -4,7 +4,10 @@ Trajectories of xdot = -grad f (forward) or +grad f (backward) are integrated
 with an embedded Dormand-Prince 5(4) scheme, batched over many start points.
 A trajectory terminates when it enters the capture ball of a critical point
 that attracts its flow direction; the endpoint is then completed exactly to
-the critical point along the current chord.
+the critical point along the current chord.  The accepted steps of each
+trajectory are densified by cubic Hermite interpolation and resampled to
+uniform arclength, giving one ``FlowLine``.  The integration and stopping
+parameters are the module constants below, read at call time.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from . import torus
 from .critical import MIN, MAX, SADDLE
 from .errors import NoConvergence, SteppedOutOfTolerance
 
-# integrator defaults; tight tolerances keep cusp tangencies resolved
+# integrator tolerances; tight tolerances keep cusp tangencies resolved
 RTOL = 1e-10
 ATOL = 1e-12
 LAUNCH_OFFSET = 1e-6
@@ -29,11 +32,11 @@ MAX_TIME = 4000.0
 RESAMPLE_SPACING = 1e-3
 RECORD_SPACING = 2e-3
 MAX_STEP_ARC = 0.05        # bounds chord length so Hermite densification is faithful
+FAST_AXIS_RADIUS = 2e-3    # chord radius for lines arriving along the fast axis
 
 FORWARD, BACKWARD = "forward", "backward"
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -48,20 +51,14 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                   -17253 / 339200, 22 / 525, -1 / 40])
 
 
-class StopRule:
-    """Termination parameters for flow integration."""
+def _point_at_radius(pts, r):
+    """First point at least distance r from pts[0], walking from pts[0].
 
-    def __init__(self, capture_radius=CAPTURE_RADIUS,
-                 saddle_capture_radius=SADDLE_CAPTURE_RADIUS,
-                 grad_gate=GRAD_GATE, max_length=MAX_LENGTH,
-                 max_time=MAX_TIME, rtol=RTOL, atol=ATOL):
-        self.capture_radius = capture_radius
-        self.saddle_capture_radius = saddle_capture_radius
-        self.grad_gate = grad_gate
-        self.max_length = max_length
-        self.max_time = max_time
-        self.rtol = rtol
-        self.atol = atol
+    Later close approaches of the curve to pts[0] are irrelevant.  Falls
+    back to the last point when none is that far.
+    """
+    k = int(np.argmax(np.linalg.norm(pts - pts[0], axis=1) >= r))
+    return pts[k or -1]
 
 
 class FlowLine:
@@ -69,62 +66,39 @@ class FlowLine:
 
     ``samples`` are continuous (unwrapped) plane coordinates; the start is in
     the fundamental domain.  ``start_index``/``end_index`` refer to the
-    critical point census, or are None.
+    critical point census, or are None.  ``end_tangent`` is the unit vector
+    leaving the captured endpoint into the line (None without a capture).
     """
 
     def __init__(self, samples, direction, start_index, end_index,
-                 start_chord, end_chord, ends_at_saddle=False,
-                 end_tangent=None):
+                 end_tangent=None, ends_at_saddle=False):
         self.samples = samples
         self.direction = direction
         self.start_index = start_index
         self.end_index = end_index
-        self.start_chord = start_chord    # unit vector leaving the start
-        self.end_chord = end_chord        # unit vector leaving the endpoint into the line
-        self.end_tangent = end_tangent if end_tangent is not None else end_chord
+        self.end_tangent = end_tangent
         self.ends_at_saddle = ends_at_saddle
         seg = np.diff(samples, axis=0)
         self.length = float(np.sum(np.linalg.norm(seg, axis=1)))
 
     def point_at_radius(self, which_end, r):
-        """First sample at least distance r from the given end ('start'|'end').
-
-        Walks away from the endpoint, so later close approaches of the curve
-        to the same point are irrelevant.
-        """
-        ref = self.samples[0] if which_end == "start" else self.samples[-1]
-        pts = self.samples if which_end == "start" else self.samples[::-1]
-        d = np.linalg.norm(pts - ref, axis=1)
-        far = d >= r
-        k = int(np.argmax(far)) if far.any() else len(pts) - 1
-        if k == 0:
-            k = len(pts) - 1
-        return pts[k]
-
-
-class NeumannLine(FlowLine):
-    """Flow line launched from a saddle along a Hessian eigendirection."""
-
-    def __init__(self, samples, direction, start_index, end_index,
-                 start_chord, end_chord, launch_axis, launch_sign,
-                 ends_at_saddle, end_tangent=None):
-        super().__init__(samples, direction, start_index, end_index,
-                         start_chord, end_chord, ends_at_saddle,
-                         end_tangent=end_tangent)
-        self.launch_axis = launch_axis      # 'unstable' | 'stable' (of the forward flow)
-        self.launch_sign = launch_sign
+        """First sample at least distance r from the given end ('start'|'end')."""
+        return _point_at_radius(
+            self.samples if which_end == "start" else self.samples[::-1], r)
 
 
 def _rhs(field, x, sgn):
     return sgn[:, None] * field.gradient(x)
 
 
-def _integrate_batch(field, x0, sgn, critical_points, rule,
-                     start_exclude=None, record=True):
+def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
+                     record=True):
     """Advance a batch of trajectories to capture.
 
-    Returns per-trajectory dicts with endpoint info and, when ``record``,
-    the accepted steps (x0, f0, x1, f1, dt) for densification.
+    Returns (end_state, captured, steps).  ``captured`` holds the census
+    index each trajectory ended at.  With ``record``, ``steps[j]`` holds
+    trajectory j's accepted steps as arrays (x0, f0, x1, f1, dt) for
+    densification; otherwise ``steps`` is None.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B = len(x0)
@@ -134,7 +108,7 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
 
     crit_xy = np.array([c.position for c in critical_points])
     kinds = np.array([c.kind for c in critical_points])
-    good = np.array([c.grad_norm <= rule.grad_gate for c in critical_points])
+    good = np.array([c.grad_norm <= GRAD_GATE for c in critical_points])
     is_saddle = kinds == SADDLE
     # which extremum kind attracts each flow direction
     attract_kind = np.where(sgn < 0, MIN, MAX)
@@ -143,10 +117,10 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
     t = np.zeros(B)
     h = np.full(B, 1e-3)
     arc = np.zeros(B)
-    armed = np.array([start_exclude[j] < 0 for j in range(B)])
+    armed = start_exclude < 0
     active = np.ones(B, dtype=bool)
     captured = np.full(B, -1, dtype=int)
-    steps = [[] for _ in range(B)] if record else None
+    steps = []      # per RK iteration: (acc, x0, f0, x1, f1, dt)
 
     n_stalled = 0
     while active.any():
@@ -161,7 +135,7 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
             k[i] = _rhs(field, xi, s)
         x_new = x + hh * np.tensordot(_DP_B, k, axes=(0, 0))
         err = hh * np.tensordot(_DP_E, k, axes=(0, 0))
-        scale = rule.atol + rule.rtol * np.maximum(np.abs(x), np.abs(x_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
         enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
 
         accept = enorm <= 1.0
@@ -188,53 +162,50 @@ def _integrate_batch(field, x0, sgn, critical_points, rule,
         t[acc] += dta
         X[acc] = xa
         if record:
-            f0a = k[0][accept]
-            f1a = _rhs(field, xa, sgn[acc])
-            for j, jj in enumerate(acc):
-                steps[jj].append((xa_old[j], f0a[j], xa[j], f1a[j], dta[j]))
+            steps.append((acc, xa_old, k[0][accept], xa,
+                          _rhs(field, xa, sgn[acc]), dta))
 
         # arm once clear of the start critical point
         need_arm = acc[~armed[acc]]
         if len(need_arm):
             d0 = torus.dist(X[need_arm], crit_xy[start_exclude[need_arm]])
-            armed[need_arm[d0 > 2.0 * rule.capture_radius]] = True
+            armed[need_arm[d0 > 2.0 * CAPTURE_RADIUS]] = True
 
         # capture test
         chk = acc[armed[acc]]
         if len(chk):
             d = torus.pairwise_dist(X[chk], crit_xy)
             elig = good[None, :] & (
-                (is_saddle[None, :] & (d < rule.saddle_capture_radius))
+                (is_saddle[None, :] & (d < SADDLE_CAPTURE_RADIUS))
                 | (~is_saddle[None, :] & (kinds[None, :] == attract_kind[chk][:, None])
-                   & (d < rule.capture_radius)))
+                   & (d < CAPTURE_RADIUS)))
             d_masked = np.where(elig, d, np.inf)
             nearest = np.argmin(d_masked, axis=1)
             hit = np.isfinite(d_masked[np.arange(len(chk)), nearest])
-            for j, jj in enumerate(chk):
-                if hit[j]:
-                    captured[jj] = nearest[j]
-                    active[jj] = False
+            captured[chk[hit]] = nearest[hit]
+            active[chk[hit]] = False
 
-        over = acc[(t[acc] > rule.max_time) | (arc[acc] > rule.max_length)]
+        over = acc[(t[acc] > MAX_TIME) | (arc[acc] > MAX_LENGTH)]
         if len(over):
             raise NoConvergence(
                 f"trajectory from {x0[over[0]]} exceeded the integration budget")
 
-    return {"end_state": X, "captured": captured, "steps": steps,
-            "time": t, "arc": arc}
+    if not record:
+        return X, captured, None
+    # group the recorded steps per trajectory, in step order
+    owner, *cols = (np.concatenate(c) for c in zip(*steps))
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(B + 1))
+    cols = [c[order] for c in cols]
+    per_line = [tuple(c[bounds[j]:bounds[j + 1]] for c in cols)
+                for j in range(B)]
+    return X, captured, per_line
 
 
-def _densify(step_list, gap=RECORD_SPACING):
+def _densify(x0, f0, x1, f1, dt):
     """Cubic-Hermite subdivision of accepted steps into a fine polyline."""
-    if not step_list:
-        return None
-    x0 = np.array([s[0] for s in step_list])
-    f0 = np.array([s[1] for s in step_list])
-    x1 = np.array([s[2] for s in step_list])
-    f1 = np.array([s[3] for s in step_list])
-    dt = np.array([s[4] for s in step_list])
     chord = np.linalg.norm(x1 - x0, axis=1)
-    nsub = np.maximum(1, np.ceil(chord / gap).astype(int))
+    nsub = np.maximum(1, np.ceil(chord / RECORD_SPACING).astype(int))
     total = int(np.sum(nsub))
     step_of = np.repeat(np.arange(len(nsub)), nsub)
     local = (np.arange(total) - np.repeat(np.cumsum(nsub) - nsub, nsub))
@@ -249,14 +220,14 @@ def _densify(step_list, gap=RECORD_SPACING):
     return np.vstack([pts, x1[-1]])
 
 
-def _resample(points, spacing=RESAMPLE_SPACING):
+def _resample(points):
     """Uniform arclength resampling of a polyline (last point kept exactly)."""
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     L = cum[-1]
     if L == 0.0:
         return points[:1]
-    s = np.arange(0.0, L, spacing)
+    s = np.arange(0.0, L, RESAMPLE_SPACING)
     if L - s[-1] > 1e-12:
         s = np.append(s, L)
     out = np.empty((len(s), 2))
@@ -265,7 +236,7 @@ def _resample(points, spacing=RESAMPLE_SPACING):
     return out
 
 
-def _extrapolate_tangent(c, c_lift, end_state, result_steps):
+def _extrapolate_tangent(c, c_lift, end_state, step_starts):
     """Limit tangent at an extremum from deep capture-time states.
 
     Lines arriving tangent to the slow Hessian axis have secant angles that
@@ -294,15 +265,12 @@ def _extrapolate_tangent(c, c_lift, end_state, result_steps):
 
     if axis_dist(v1, fast) < axis_dist(v1, slow):
         return "fast"
-    probe = None
-    for st in reversed(result_steps):
-        rr = np.linalg.norm(st[0] - c_lift)
-        if rr >= 3.0 * r1:
-            probe = st[0]
-            break
-    if probe is None:
+    # the last step that starts at least 3 r1 out is the second probe
+    far = np.flatnonzero(
+        np.linalg.norm(step_starts - c_lift, axis=1) >= 3.0 * r1)
+    if not len(far):
         return None
-    v2 = probe - c_lift
+    v2 = step_starts[far[-1]] - c_lift
     r2 = np.linalg.norm(v2)
     phi2 = np.arctan2(v2[1], v2[0])
     dphi = (phi2 - phi1 + np.pi) % (2 * np.pi) - np.pi
@@ -311,63 +279,54 @@ def _extrapolate_tangent(c, c_lift, end_state, result_steps):
     return np.array([np.cos(phi0), np.sin(phi0)])
 
 
-def _finish_line(x0_unwrapped, result_steps, end_state, cap_index,
-                 critical_points, direction, start_index, start_chord,
-                 prepend=None):
-    """Densify, snap the endpoint to the captured critical point, resample."""
-    pts = _densify(result_steps)
-    if pts is None:
-        pts = np.atleast_2d(x0_unwrapped)
+def _finish_line(start, steps, end_state, cap_index, critical_points,
+                 direction, start_index, prepend=None):
+    """Densify, snap the endpoint to the captured critical point, resample.
+
+    The end tangent is the extrapolated limit tangent, a moderate-radius
+    chord for fast-axis arrivals, or else the capture chord.
+    """
+    pts = _densify(*steps) if len(steps[0]) else np.atleast_2d(start)
     if prepend is not None:
         pts = np.vstack([prepend, pts])
     end_index = None
-    end_chord = None
     end_tangent = None
     ends_at_saddle = False
     if cap_index >= 0:
         c = critical_points[cap_index]
         c_lift = torus.nearest_lift(c.position, end_state)
-        v = end_state - c_lift
-        nv = np.linalg.norm(v)
-        end_chord = v / nv if nv > 0 else None
-        end_tangent = _extrapolate_tangent(c, c_lift, end_state, result_steps) \
-            if result_steps else None
+        if len(steps[0]):
+            end_tangent = _extrapolate_tangent(c, c_lift, end_state, steps[0])
+        if end_tangent is None:
+            v = end_state - c_lift
+            nv = np.linalg.norm(v)
+            end_tangent = v / nv if nv > 0 else None
         pts = np.vstack([pts, c_lift])
         end_index = cap_index
         ends_at_saddle = c.kind == SADDLE
     samples = _resample(pts)
-    if isinstance(end_tangent, str):   # fast-axis arrival: moderate-radius chord
-        line = FlowLine(samples, direction, start_index, end_index,
-                        start_chord, end_chord, ends_at_saddle)
-        v = line.point_at_radius("end", 2e-3) - samples[-1]
+    if isinstance(end_tangent, str):   # fast-axis arrival
+        v = _point_at_radius(samples[::-1], FAST_AXIS_RADIUS) - samples[-1]
         end_tangent = v / np.linalg.norm(v)
-    return FlowLine(samples, direction, start_index, end_index,
-                    start_chord, end_chord, ends_at_saddle,
-                    end_tangent=end_tangent)
+    return FlowLine(samples, direction, start_index, end_index, end_tangent,
+                    ends_at_saddle)
 
 
-def integrate_flow(field, x0, direction, critical_points, rule=None):
+def integrate_flow(field, x0, direction, critical_points):
     """Trace one trajectory of the gradient flow until capture.
 
     ``direction`` is 'forward' (descending f) or 'backward'.  Raises
     NoConvergence when the arclength/time budget is exhausted and
     SteppedOutOfTolerance when error control fails.
     """
-    rule = rule or StopRule()
     x0 = np.asarray(x0, dtype=float)
-    g0 = np.linalg.norm(field.gradient(x0))
-    if g0 <= rule.grad_gate:
+    if np.linalg.norm(field.gradient(x0)) <= GRAD_GATE:
         raise ValueError("start point is (numerically) critical")
     sgn = -1.0 if direction == FORWARD else 1.0
-    res = _integrate_batch(field, x0[None, :], [sgn], critical_points, rule)
-    start_chord = None
-    if res["steps"][0]:
-        v = res["steps"][0][0][2] - x0
-        n = np.linalg.norm(v)
-        start_chord = v / n if n > 0 else None
-    return _finish_line(x0, res["steps"][0], res["end_state"][0],
-                        res["captured"][0], critical_points, direction,
-                        None, start_chord)
+    X, captured, steps = _integrate_batch(field, x0[None, :], [sgn],
+                                          critical_points)
+    return _finish_line(x0, steps[0], X[0], captured[0], critical_points,
+                        direction, None)
 
 
 def _canonical_eigvecs(cp):
@@ -381,16 +340,7 @@ def _canonical_eigvecs(cp):
     return vecs
 
 
-def trace_neumann_lines(field, saddle, critical_points, rule=None,
-                        launch_offset=LAUNCH_OFFSET):
-    """The four Neumann lines of one saddle (see trace_all_neumann_lines)."""
-    lines = trace_all_neumann_lines(field, [saddle], critical_points, rule,
-                                    launch_offset)
-    return lines[0]
-
-
-def trace_all_neumann_lines(field, saddles, critical_points, rule=None,
-                            launch_offset=LAUNCH_OFFSET):
+def trace_all_neumann_lines(field, saddles, critical_points):
     """Trace all Neumann lines of the given saddles in one batch.
 
     For each saddle, launches are made along +-v for both Hessian
@@ -399,44 +349,33 @@ def trace_all_neumann_lines(field, saddles, critical_points, rule=None,
     (ascends to maxima).  Returns a list of 4-line lists, ordered
     [unstable+, unstable-, stable+, stable-] per saddle.
     """
-    rule = rule or StopRule()
-    X0, sgns, excl, meta = [], [], [], []
+    X0, sgns, starts = [], [], []
     for s in saddles:
         if s.kind != SADDLE:
             raise ValueError(f"critical point {s} is not a saddle")
         vecs = _canonical_eigvecs(s)
-        v_unstable = vecs[:, 0]        # eigenvalue < 0
-        v_stable = vecs[:, 1]          # eigenvalue > 0
-        for axis, v, sgn in (("unstable", v_unstable, -1.0),
-                             ("stable", v_stable, +1.0)):
+        # column 0 has the negative eigenvalue, column 1 the positive one
+        for v, sgn in ((vecs[:, 0], -1.0), (vecs[:, 1], +1.0)):
             for pm in (+1.0, -1.0):
-                X0.append(s.position + pm * launch_offset * v)
+                X0.append(s.position + pm * LAUNCH_OFFSET * v)
                 sgns.append(sgn)
-                excl.append(s.index)
-                meta.append((s, axis, pm, pm * v))
-    res = _integrate_batch(field, np.array(X0), sgns, critical_points, rule,
-                           start_exclude=np.array(excl))
-    out = []
-    for j, (s, axis, pm, v) in enumerate(meta):
-        cap = res["captured"][j]
-        fl = _finish_line(X0[j], res["steps"][j], res["end_state"][j], cap,
-                          critical_points,
-                          FORWARD if sgns[j] < 0 else BACKWARD,
-                          s.index, v, prepend=s.position)
-        line = NeumannLine(fl.samples, fl.direction, s.index, fl.end_index,
-                           v, fl.end_chord, axis, int(pm), fl.ends_at_saddle,
-                           end_tangent=fl.end_tangent)
-        out.append(line)
+                starts.append(s)
+    X, captured, steps = _integrate_batch(
+        field, np.array(X0), sgns, critical_points,
+        start_exclude=np.array([s.index for s in starts]))
+    out = [_finish_line(X0[j], steps[j], X[j], captured[j], critical_points,
+                        FORWARD if sgns[j] < 0 else BACKWARD, s.index,
+                        prepend=s.position)
+           for j, s in enumerate(starts)]
     return [out[i:i + 4] for i in range(0, len(out), 4)]
 
 
-def flow_endpoints(field, x0s, directions, critical_points, rule=None):
+def flow_endpoints(field, x0s, directions, critical_points):
     """Capture targets for a batch of start points (no polylines recorded).
 
     Returns an array of critical point indices (-1 when uncaptured).
     """
-    rule = rule or StopRule()
     sgn = np.array([-1.0 if d == FORWARD else 1.0 for d in directions])
-    res = _integrate_batch(field, np.asarray(x0s, dtype=float), sgn,
-                           critical_points, rule, record=False)
-    return res["captured"]
+    _, captured, _ = _integrate_batch(field, np.asarray(x0s, dtype=float),
+                                      sgn, critical_points, record=False)
+    return captured

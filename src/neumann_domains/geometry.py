@@ -3,9 +3,9 @@ mesher.
 
 One exact segment-segment test, the chords that stand in for sampled
 polylines, one broad phase that finds the segment pairs that can
-intersect (on the torus or in the plane), and the even-odd
-point-in-polygon rule.  Every question "which segments intersect?" in the
-package is answered here.
+intersect (on the torus or in the plane), the even-odd
+point-in-polygon rule and the shoelace area.  Every question "which
+segments intersect?" in the package is answered here.
 """
 
 import numpy as np
@@ -123,3 +123,9 @@ def _point_in_polygon(pts, poly):
     inside = np.empty(len(pts), dtype=bool)
     inside[order] = (flips & 1).astype(bool)
     return inside
+
+
+def polygon_area(poly):
+    """Signed shoelace area of a closed polygon (first == last), CCW > 0."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))

@@ -20,7 +20,8 @@ from .contours import level_arc_in_face, polyline_length
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
 from .flow import FORWARD, BACKWARD, integrate_flow
-from .geometry import _point_in_polygon, candidate_pairs, segment_hits
+from .geometry import (_point_in_polygon, candidate_pairs, polygon_area,
+                       segment_hits)
 
 H_MIN_FACTOR = 64.0        # finest graded size is h / 64
 MIN_ANGLE_DEG = 15.0       # quality gate away from cusp neighbourhoods
@@ -104,9 +105,7 @@ class TruncatedDomain:
                          [p[1:] for p, _ in self.pieces[1:]])
 
     def area(self):
-        poly = np.vstack([p for p, _ in self.pieces])
-        x, y = poly[:, 0], poly[:, 1]
-        return 0.5 * abs(float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])))
+        return abs(polygon_area(np.vstack([p for p, _ in self.pieces])))
 
 
 def _domain_levels(domain, cps):
@@ -197,15 +196,12 @@ def _excise_cap(field, loop, markers, arc, level, above, marker):
     if not np.allclose(new[0], new[-1]):
         new = np.vstack([new, new[:1]])
         new_markers = new_markers + ["outer"]
-    x, y = loop[:, 0], loop[:, 1]
-    area_before = 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-    x, y = new[:, 0], new[:, 1]
-    area_after = 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+    cut_area = abs(polygon_area(loop)) - abs(polygon_area(new))
     # markers list length must equal edges count
     new_markers = new_markers[:len(new) - 1]
     while len(new_markers) < len(new) - 1:
         new_markers.append("outer")
-    return new, new_markers, area_before - area_after
+    return new, new_markers, cut_area
 
 
 def _pieces_from_loop(loop, markers):
@@ -546,6 +542,8 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, critical_points=None):
     """
     if not h > 0:
         raise ValueError(f"mesh size h = {h} must be positive")
+    if not grading > 0:
+        raise ValueError(f"grading {grading} must be positive")
     cps = critical_points if critical_points is not None else domain._cps
     h_min = h / H_MIN_FACTOR
 
@@ -560,8 +558,7 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, critical_points=None):
         pieces = [(p, "outer") for p in domain.pieces]
         cusp_pts = _lifted_cusp_points(domain)
 
-    size_fn = _make_size_fn(h, h_min, grading, cusp_pts) if len(cusp_pts) \
-        else _make_size_fn(h, h_min, grading, np.empty((0, 2)))
+    size_fn = _make_size_fn(h, h_min, grading, cusp_pts)
     verts, tris, bedges, _ = _mesh_polygon(pieces, size_fn, h, h_min,
                                            quality_centers=cusp_pts)
     _quality_check(verts, tris, cusp_pts)
@@ -633,15 +630,21 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
     # side B: eta (tip -> p), outer chain from p back to the crack root
     side_b = [(eta_res, "eta")] + pieces_range(kp, i) + [(crack_res, "crack_R")]
 
-    va, ta, ba, _ = _mesh_polygon(side_a, size_fn, h, h_min,
-                                  quality_centers=centers, resample=False)
-    vb, tb, bb, _ = _mesh_polygon(side_b, size_fn, h, h_min,
-                                  quality_centers=centers, resample=False)
+    va, ta, ba, slices_a = _mesh_polygon(side_a, size_fn, h, h_min,
+                                         quality_centers=centers,
+                                         resample=False)
+    vb, tb, bb, slices_b = _mesh_polygon(side_b, size_fn, h, h_min,
+                                         quality_centers=centers,
+                                         resample=False)
+
+    def eta_ids(slices):
+        # the eta piece's vertices and the closing one, which is the first
+        # vertex of the next piece (0 when eta is the last piece)
+        s0, s1, _ = next(s for s in slices if s[2] == "eta")
+        return np.arange(s0, s1 + 1) % slices[-1][1]
 
     # glue along eta: map B's eta vertices onto A's
-    # (in side A the eta piece is the last; locate its vertex ids)
-    ids_a = _piece_vertex_ids(side_a, "eta", va)
-    ids_b = _piece_vertex_ids(side_b, "eta", vb)
+    ids_a, ids_b = eta_ids(slices_a), eta_ids(slices_b)
     mapping = np.full(len(vb), -1, dtype=int)
     for ia, ib in zip(ids_a[::-1], ids_b):   # reversed orientation
         mapping[ib] = ia
@@ -657,23 +660,6 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
         raise MeshQualityFailure("glued crack mesh is not a disk")
     _quality_check(verts, tris, centers)
     return mesh
-
-
-def _piece_vertex_ids(pieces, marker, verts):
-    """Vertex indices of a named piece, via the boundary layout contract."""
-    ids = []
-    start = 0
-    for pts, m in pieces:
-        npts = len(pts) - 1
-        if m == marker:
-            ids = list(range(start, start + npts))
-            # the closing vertex is the first vertex of the next piece,
-            # which wraps to 0 when this is the last piece
-            total = sum(len(p) - 1 for p, _ in pieces)
-            ids.append((start + npts) % total)
-            return ids
-        start += npts
-    raise KeyError(marker)
 
 
 def structured_rect_mesh(width, height, nx, ny, origin=(0.0, 0.0)):

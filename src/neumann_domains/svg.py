@@ -7,6 +7,7 @@ from . import torus
 
 SCALE = 120.0           # pixels per unit; fundamental domain is 2*pi wide
 MARGIN = 12.0
+LINE_DECIMATE = 20      # every n-th Neumann line sample is drawn
 
 
 def _to_px(pts, height):
@@ -37,7 +38,7 @@ def _path(points, height, style, decimate=1):
     return f'<path d="{d}" fill="none" {style}/>'
 
 
-def render_complex_svg(cx, nodal_polylines=None, path=None, decimate=20):
+def render_complex_svg(cx, nodal_polylines=None, path=None):
     """Draw the complex (and optionally the nodal set) as an SVG string."""
     size = 2 * MARGIN + SCALE * torus.PERIOD
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
@@ -48,7 +49,7 @@ def render_complex_svg(cx, nodal_polylines=None, path=None, decimate=20):
     nodal_style = 'stroke="#666" stroke-width="1.2" stroke-dasharray="6 4"'
     for ln in cx.lines:
         for piece in _split_wrapped(ln.samples):
-            out.append(_path(piece, size, line_style, decimate))
+            out.append(_path(piece, size, line_style, LINE_DECIMATE))
     if nodal_polylines:
         for pl in nodal_polylines:
             for piece in _split_wrapped(pl):

@@ -10,10 +10,11 @@ from .geometry import _point_in_polygon
 
 HAUSDORFF_TOL = 1e-4
 ANGLE_SUM_TOL = 1e-3
+CLOUD_STRIDE = 3       # every n-th line sample enters the Hausdorff cloud
 
 
-def _line_cloud(cx, stride=3):
-    pts = np.vstack([ln.samples[::stride] for ln in cx.lines])
+def _line_cloud(cx):
+    pts = np.vstack([ln.samples[::CLOUD_STRIDE] for ln in cx.lines])
     w = torus.wrap(pts)
     return np.minimum(w, torus.PERIOD * (1.0 - 1e-15))
 

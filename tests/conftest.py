@@ -42,6 +42,13 @@ def l17_complex(lambda17):
 
 
 @pytest.fixture(scope="session")
+def generic_complex():
+    # non-orthogonal mode pair at lambda = 5: every extremum has a braided
+    # zero-angle wedge
+    return build_complex(MorseField([(1.0, 1, 2, 0.0), (0.7, 2, 1, 0.3)]), 24)
+
+
+@pytest.fixture(scope="session")
 def crack_field(separable):
     return build_crack_perturbation(separable, (np.pi / 2, np.pi / 2),
                                     0.3, 12.0)

@@ -103,8 +103,9 @@ def test_exit_codes(tmp_path, monkeypatch):
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",
                  "--out", str(tmp_path / "o")]) == 3
 
-    # out-of-range mesh size, eigenvalue count, cluster tolerance and
-    # truncation level: rejected before the complex is built
+    # out-of-range mesh size, eigenvalue count, cluster tolerance,
+    # truncation level, grading and eigenvalue: rejected before the complex
+    # is built
     def no_build(*args, **kwargs):
         raise AssertionError("build_complex ran for a bad flag")
 
@@ -118,7 +119,9 @@ def test_exit_codes(tmp_path, monkeypatch):
                    "0.6"],
                   ["--cluster-tol", "0.5"], ["--cluster-tol", "0"],
                   ["--truncate", "0"], ["--truncate", "1"],
-                  ["--truncate", "-0.5"]):
+                  ["--truncate", "-0.5"], ["--lam", "-1"],
+                  ["--grading", "0"], ["--grading", "-1"],
+                  ["--grading", "nan"]):
         for command in ("position", "spectrum"):
             assert main([command, *quick, *flags]) == 2, (command, flags)
     # the same checks apply to values read from a config file

@@ -48,7 +48,8 @@ def test_extrema_read_from_boundary_chain():
 
 # sha256 of NeumannComplex.to_json() for the session complexes, recorded
 # with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; other versions may round
-# the traced geometry differently
+# the traced geometry differently.  The generic and crack complexes cover
+# the extrapolated and the fast-axis end tangents.
 REPORT_SHA256 = {
     "separable": "7e6811fa60ff6bcf1828a54d09d32e1b"
                  "39f70d55088dece69b3e68a258bcd012",
@@ -56,13 +57,20 @@ REPORT_SHA256 = {
                    "38b6573daa2a989534b051912775f960",
     "lambda17": "a0aaab1dac6b3472de29721c812ecdbc"
                 "b5325706be20dbfff6be374314a8a9f0",
+    "generic": "2d5f9191ada744d18f58f8c891ef3023"
+               "eb8261a965f6ca5112e86c9f61019e85",
+    "crack": "aea285292a8c94d4f6c9f3bb28c22e0e"
+             "c4b9e6288f6ac9cfab3cfef693ef3056",
 }
 
 
-def test_report_digests_unchanged(sep_complex, aniso_complex, l17_complex):
+def test_report_digests_unchanged(sep_complex, aniso_complex, l17_complex,
+                                  generic_complex, crack_report):
     for name, cx in (("separable", sep_complex),
                      ("anisotropic", aniso_complex),
-                     ("lambda17", l17_complex)):
+                     ("lambda17", l17_complex),
+                     ("generic", generic_complex),
+                     ("crack", crack_report.complex)):
         digest = hashlib.sha256(cx.to_json().encode()).hexdigest()
         assert digest == REPORT_SHA256[name], name
 
@@ -110,8 +118,8 @@ def test_is_morse_smale_flag(sep_complex, l17_complex):
     assert not cx.is_morse_smale()
 
 
-def test_classification_rules(sep_complex, crack_report):
-    for face in sep_complex.faces:
+def test_classification_rules(sep_complex, generic_complex, crack_report):
+    for face in sep_complex.faces + generic_complex.faces:
         assert face.classification == REGULAR
     assert crack_report.cracked_faces[0].classification == CRACKED
     crack_line = crack_report.cracked_faces[0].crack_line_ids
@@ -273,13 +281,11 @@ def test_export_round_trip(sep_complex):
     assert sep_complex.to_json() == sep_complex.to_json()
 
 
-def test_generic_lambda5_field():
+def test_generic_lambda5_field(generic_complex):
     # non-orthogonal mode pair: lines into a shared extremum collapse onto
     # its slow manifold and braid within tracing noise; the tie-broken
     # rotation system must still produce a consistent tessellation
-    from neumann_domains import MorseField, build_complex
-    g = MorseField([(1.0, 1, 2, 0.0), (0.7, 2, 1, 0.3)])
-    cx = build_complex(g, 24)
+    cx = generic_complex
     V, E, F = len(cx.critical_points), len(cx.lines), len(cx.faces)
     assert (V, E, F) == (12, 24, 12)
     assert cx.is_morse_smale()
@@ -300,10 +306,10 @@ def test_synthetic_line_crossing_detected(sep_complex):
         a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
         s = np.linspace(0.0, 1.0, 1001)
         b = np.stack([np.full_like(s, x_b), 1.0 + s], axis=-1)
-        la = FlowLine(a, "forward", None, None, None, None)
+        la = FlowLine(a, "forward", None, None)
         # the same crossing with b's unwrapped coordinates a period away
         for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
-            lb = FlowLine(b + lift, "forward", None, None, None, None)
+            lb = FlowLine(b + lift, "forward", None, None)
             with pytest.raises(LineCrossing):
                 _check_crossings([la, lb], sep_complex.critical_points,
                                  coarsen=5)

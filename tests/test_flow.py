@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neumann_domains import StopRule, integrate_flow, trace_neumann_lines
+from neumann_domains import flow, integrate_flow, trace_all_neumann_lines
 from neumann_domains.critical import MAX, MIN, SADDLE, find_critical_points
 from neumann_domains.errors import NoConvergence
 from neumann_domains.flow import BACKWARD, FORWARD
@@ -52,7 +52,7 @@ def test_monotone_f_and_total_variation(separable, sep_points):
 def test_separable_saddle_lines(separable, sep_points):
     saddle = next(p for p in sep_points
                   if p.kind == SADDLE and np.allclose(p.position, [0, np.pi]))
-    lines = trace_neumann_lines(separable, saddle, sep_points)
+    lines = trace_all_neumann_lines(separable, [saddle], sep_points)[0]
     assert len(lines) == 4
     ends = sorted(sep_points[ln.end_index].kind for ln in lines)
     assert ends == [MAX, MAX, MIN, MIN]
@@ -74,7 +74,7 @@ def test_anisotropic_same_combinatorics(anisotropic):
     pts = find_critical_points(anisotropic, 16)
     saddle = next(p for p in pts
                   if p.kind == SADDLE and np.allclose(p.position, [0, np.pi]))
-    lines = trace_neumann_lines(anisotropic, saddle, pts)
+    lines = trace_all_neumann_lines(anisotropic, [saddle], pts)[0]
     ends = sorted(pts[ln.end_index].kind for ln in lines)
     assert ends == [MAX, MAX, MIN, MIN]
 
@@ -94,27 +94,27 @@ def test_axes17_line_lengths(axes17):
     # straight segments between adjacent critical points: length pi/sqrt(17)
     pts = find_critical_points(axes17, 24)
     saddle = next(p for p in pts if p.kind == SADDLE)
-    lines = trace_neumann_lines(axes17, saddle, pts)
+    lines = trace_all_neumann_lines(axes17, [saddle], pts)[0]
     for ln in lines:
         assert ln.length == pytest.approx(np.pi / np.sqrt(17.0), abs=1e-6)
 
 
-def test_capture_radius_halving(separable, sep_points):
+def test_capture_radius_halving(separable, sep_points, monkeypatch):
     # the traced geometry is insensitive to the capture radius
-    base = StopRule()
-    tight = StopRule(capture_radius=base.capture_radius / 2,
-                     saddle_capture_radius=base.saddle_capture_radius / 2)
-    a = integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points, base)
-    b = integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points, tight)
+    a = integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points)
+    monkeypatch.setattr(flow, "CAPTURE_RADIUS", flow.CAPTURE_RADIUS / 2)
+    monkeypatch.setattr(flow, "SADDLE_CAPTURE_RADIUS",
+                        flow.SADDLE_CAPTURE_RADIUS / 2)
+    b = integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points)
     assert a.end_index == b.end_index
     n = min(len(a.samples), len(b.samples))
     assert np.max(np.abs(a.samples[:n] - b.samples[:n])) < 1e-7
 
 
-def test_budget_exhaustion(separable, sep_points):
-    rule = StopRule(max_length=0.05)
+def test_budget_exhaustion(separable, sep_points, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_LENGTH", 0.05)
     with pytest.raises(NoConvergence):
-        integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points, rule)
+        integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points)
 
 
 def test_symmetry_under_negation(separable, sep_points):
@@ -127,3 +127,10 @@ def test_symmetry_under_negation(separable, sep_points):
     assert np.max(np.abs(a.samples[:n] - b.samples[:n])) < 1e-8
     assert sep_points[a.end_index].kind == MIN
     assert neg_points[b.end_index].kind == MAX
+
+
+def test_public_api_resolves():
+    import neumann_domains
+    missing = [n for n in neumann_domains.__all__
+               if not hasattr(neumann_domains, n)]
+    assert missing == []

@@ -166,6 +166,14 @@ def test_structured_mesh_is_disk():
     assert np.sum(mesh.triangle_areas()) == pytest.approx(np.pi ** 2)
 
 
+def test_mesh_domain_rejects_bad_sizes(separable, sep_complex):
+    face = sep_complex.faces[0]
+    for h, grading in ((0.0, 0.5), (0.3, 0.0), (0.3, -1.0), (0.3, np.nan)):
+        with pytest.raises(ValueError):
+            mesh_domain(separable, face, h, grading,
+                        critical_points=sep_complex.critical_points)
+
+
 def test_self_intersection_guard():
     bow = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [0, 0]], dtype=float)
     size = _make_size_fn(0.3, 0.05, 0.5, np.empty((0, 2)))
