@@ -136,6 +136,9 @@ def cmd_crit(args):
 
 
 def cmd_complex(args):
+    # the range nodal_set enforces too, checked before the complex is built
+    if args.grid_res < 8:
+        raise ValueError(f"--grid-res {args.grid_res} must be at least 8")
     field = _load_field(args)
     cx = build_complex(field, args.seed_grid)
     nodal = nodal_set(field, args.grid_res)
@@ -183,7 +186,7 @@ def _spectrum_report(args):
                          f"(0..{len(cx.faces) - 1})")
     face = cx.faces[args.domain_index]
     mesh = mesh_domain(field, face, args.mesh_h, args.grading, args.truncate,
-                       cx.critical_points)
+                       critical_points=cx.critical_points)
     lam = args.lam
     if lam is None:
         if not field.is_eigenfunction:

@@ -479,7 +479,6 @@ def build_complex(field, seed_grid=24, critical_points=None):
             pieces, vertex_seq = _lift_chain(lines, chain)
             face = NeumannDomain(fi, chain, pieces, vertex_seq)
         faces.append(face)
-        face._cps = cps
         _attach_extrema(face, cps)
         face.saddle_indices = sorted({v for v in face.vertex_seq
                                       if cps[v].kind == SADDLE})

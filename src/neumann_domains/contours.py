@@ -80,8 +80,10 @@ def nodal_set(field, grid_res=512):
     crossing edge of the lattice borders two cells, so each polyline is a
     closed loop that repeats its first point (up to a period shift for a
     loop that winds around the torus).  Empty when the field has a fixed
-    sign.
+    sign.  ``grid_res`` must be at least 8.
     """
+    if grid_res < 8:
+        raise ValueError("grid_res must be at least 8")
     n = int(grid_res)
     g = np.arange(n) / n * torus.PERIOD
     step = torus.PERIOD / n

@@ -36,9 +36,15 @@ def build_crack_perturbation(field, center, scale, K):
     The patch is the square of half-width ``scale`` in the frame aligned
     with the base gradient at ``center``.  Raises
     PatchContainsCriticalPoint / AmplitudeTooSmall / PatchTooLarge when the
-    construction hypotheses fail.
+    construction hypotheses fail, and ValueError unless ``center`` is two
+    finite numbers and ``scale`` is positive.
     """
     center = np.asarray(center, dtype=float)
+    if center.shape != (2,) or not np.isfinite(center).all():
+        raise ValueError(f"crack center {center.tolist()} must be two "
+                         "finite numbers")
+    if not scale > 0:
+        raise ValueError(f"crack scale {scale} must be positive")
     g0 = field.gradient(center)
     gn = np.linalg.norm(g0)
     e1 = g0 / gn

@@ -4,6 +4,7 @@ import numpy as np
 
 from . import torus
 from .errors import NotMorse, SeedGridTooCoarse
+from .geometry import _tree
 
 NEWTON_TOL = 1e-12        # on |grad f|
 NEWTON_MAX_ITER = 50
@@ -96,11 +97,13 @@ def _newton_batch(field, seeds):
 
 def _dedup(points):
     """Merge points closer than DEDUP_RADIUS on the torus (keep the first)."""
-    kept = []
-    for p in points:
-        if not kept or np.min(torus.dist(np.array(kept), p)) > DEDUP_RADIUS:
-            kept.append(p)
-    return np.array(kept)
+    tree = _tree(points, periodic=True)
+    dropped = np.zeros(len(points), dtype=bool)
+    for k in range(len(points)):
+        if not dropped[k]:
+            ball = tree.query_ball_point(tree.data[k], DEDUP_RADIUS)
+            dropped[[j for j in ball if j > k]] = True
+    return points[~dropped]
 
 
 def _classify(field, positions):

@@ -99,11 +99,6 @@ class TruncatedDomain:
         self.pieces = pieces
         self.removed_area = removed_area
 
-    @property
-    def polygon(self):
-        return np.vstack([self.pieces[0][0]] +
-                         [p[1:] for p, _ in self.pieces[1:]])
-
     def area(self):
         return abs(polygon_area(np.vstack([p for p, _ in self.pieces])))
 
@@ -188,19 +183,10 @@ def _excise_cap(field, loop, markers, arc, level, above, marker):
         # the cap wraps around the loop start: keep seg1, arc closes it
         da = np.linalg.norm(loop[kb] - A), np.linalg.norm(loop[kb] - B)
         arc_o = arc if da[0] <= da[1] else arc[::-1]
-        new = np.vstack([loop[ka + 1:kb + 1], arc_o])
+        new = np.vstack([loop[ka + 1:kb + 1], arc_o, loop[ka + 1:ka + 2]])
         new_markers = (markers[ka + 1:kb + 1]
                        + [marker] * (len(arc_o) - 1) + ["outer"])
-        # close the loop
-        new = np.vstack([new, new[:1]])
-    if not np.allclose(new[0], new[-1]):
-        new = np.vstack([new, new[:1]])
-        new_markers = new_markers + ["outer"]
     cut_area = abs(polygon_area(loop)) - abs(polygon_area(new))
-    # markers list length must equal edges count
-    new_markers = new_markers[:len(new) - 1]
-    while len(new_markers) < len(new) - 1:
-        new_markers.append("outer")
     return new, new_markers, cut_area
 
 
@@ -242,7 +228,7 @@ def cusp_length_decay(field, domain, t_list, critical_points):
 # polygon meshing
 # ---------------------------------------------------------------------------
 
-def _resample_by_size(pts, size_fn):
+def _resample_by_size(pts, size):
     """Resample a polyline so spacing tracks the local size field.
 
     The last two intervals are evened out so no straggler interval much
@@ -259,17 +245,17 @@ def _resample_by_size(pts, size_fn):
 
     arcs = [0.0]
     while True:
-        step = max(float(size_fn(at(arcs[-1]))), 1e-9)
+        step = max(float(size(at(arcs[-1]))), 1e-9)
         if L - arcs[-1] < 1.5 * step:
             break
         arcs.append(arcs[-1] + step)
     if len(arcs) > 1:
         tail = L - arcs[-2]
-        if tail < 2.4 * max(float(size_fn(at(L))), 1e-9):
+        if tail < 2.4 * max(float(size(at(L))), 1e-9):
             arcs[-1] = arcs[-2] + 0.5 * tail   # split the final stretch evenly
-    out = [at(s) for s in arcs]
-    out.append(pts[-1])
-    return np.array(out)
+    out = np.column_stack([np.interp(arcs, cum, pts[:, 0]),
+                           np.interp(arcs, cum, pts[:, 1])])
+    return np.vstack([out, pts[-1:]])
 
 
 def _self_intersects(poly):
@@ -282,7 +268,7 @@ def _self_intersects(poly):
     return bool(hit.any())
 
 
-def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
+def _interior_points(polygon, boundary_pts, size):
     """Multiscale lattice points inside the polygon with clearance 0.7*size.
 
     A lattice of spacing L keeps the points whose size lies in its band
@@ -292,10 +278,9 @@ def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
     h/2 lattices (both over the bounding box) reach their band, and the
     descent stops there.
     """
+    h, h_min, centers = size.h, size.h_min, size.centers
     lo = polygon.min(axis=0)
     hi = polygon.max(axis=0)
-    centers = getattr(size_fn, "centers", np.empty((0, 2)))
-    grading = getattr(size_fn, "grading", 1.0)
     # smallest value the size field takes: h_min at a center, else h
     size_floor = h_min if len(centers) else h
     accepted = []
@@ -306,7 +291,7 @@ def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
             boxes = [(lo, hi)]
         else:
             # points at this size level lie within distance ~2.2*level/grading
-            rad = 2.5 * level_h / max(grading, 1e-6)
+            rad = 2.5 * level_h / max(size.grading, 1e-6)
             boxes = [(np.maximum(c - rad, lo), np.minimum(c + rad, hi))
                      for c in centers]
         cand_all = []
@@ -320,7 +305,7 @@ def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
                 cand_all.append(np.stack([X.ravel(), Y.ravel()], axis=-1))
         if cand_all:
             cand = np.vstack(cand_all)
-            sizes = np.atleast_1d(size_fn(cand))
+            sizes = np.atleast_1d(size(cand))
             band = (sizes >= 0.99 * level_h) if level_h > h_min * 1.5 \
                 else (sizes >= h_min * 0.99)
             band &= sizes < 2.2 * level_h
@@ -360,26 +345,20 @@ def _interior_points(polygon, boundary_pts, size_fn, h, h_min):
     return np.array(accepted) if accepted else np.empty((0, 2))
 
 
-def _mesh_polygon(pieces, size_fn, h, h_min, quality_centers=(),
-                  resample=True):
+def _mesh_polygon(pieces, size):
     """Delaunay-with-culling mesher for one simple polygon.
 
-    ``pieces`` are (points, marker) polylines forming a closed loop.  With
-    ``resample=False`` the caller has already placed the boundary points
-    (needed when two sub-polygons must share samples along a seam).  The
+    ``pieces`` are (points, marker) polylines forming a closed loop, already
+    sampled at the boundary spacing (two sub-polygons that share a seam
+    must share its samples).  The size field places the interior points,
+    and its centers are the neighbourhoods exempt from the angle gate.  The
     return keeps boundary points first so piece bookkeeping survives:
     (vertices, triangles, boundary_edges, piece_slices).
     """
-    if resample:
-        res_pieces = [(_resample_by_size(pts, size_fn), marker)
-                      for pts, marker in pieces]
-    else:
-        res_pieces = list(pieces)
-
-    bpts = [res_pieces[0][0][:-1]]
+    bpts = [pieces[0][0][:-1]]
     piece_slices = []
     start = 0
-    for k, (pts, marker) in enumerate(res_pieces):
+    for k, (pts, marker) in enumerate(pieces):
         npts = len(pts) - 1      # last point belongs to the next piece
         piece_slices.append((start, start + npts, marker))
         if k > 0:
@@ -391,7 +370,7 @@ def _mesh_polygon(pieces, size_fn, h, h_min, quality_centers=(),
     if _self_intersects(polygon):
         raise SelfIntersectingBoundary("resampled boundary self-intersects")
 
-    interior = _interior_points(polygon, boundary, size_fn, h, h_min)
+    interior = _interior_points(polygon, boundary, size)
     allpts = np.vstack([boundary, interior]) if len(interior) else boundary
 
     def triangulate(pts):
@@ -407,7 +386,7 @@ def _mesh_polygon(pieces, size_fn, h, h_min, quality_centers=(),
     # quality repair: flat caps along nearly straight boundary stretches get
     # their circumcenters inserted, which is where Delaunay wants a point
     for _ in range(12):
-        bad = _bad_triangles(allpts, simplices, quality_centers)
+        bad = _bad_triangles(allpts, simplices, size.centers)
         if not len(bad):
             break
         new_pts = []
@@ -424,13 +403,13 @@ def _mesh_polygon(pieces, size_fn, h, h_min, quality_centers=(),
             nrm /= np.linalg.norm(nrm)
             if np.dot(nrm, c - mid) < 0:
                 nrm = -nrm
-            s_mid = float(size_fn(mid))
+            s_mid = float(size(mid))
             off = mid + 0.55 * s_mid * nrm
             cand = [p for p in (_circumcenter(tri_pts), off,
                                 tri_pts.mean(axis=0))
                     if _point_in_polygon(p[None, :], polygon)[0]]
             for p in cand:
-                s = float(size_fn(p))
+                s = float(size(p))
                 near_b = np.min(np.linalg.norm(boundary - p, axis=1))
                 if near_b < 0.25 * s:
                     continue
@@ -501,7 +480,7 @@ def _bad_triangles(verts, simplices, quality_centers):
     bad = np.rad2deg(_min_angles(verts, simplices)) < MIN_ANGLE_DEG
     if bad.any() and len(quality_centers):
         cent = verts[simplices].mean(axis=1)
-        for qc in np.asarray(quality_centers).reshape(-1, 2):
+        for qc in quality_centers:
             bad &= np.linalg.norm(cent - qc, axis=1) >= CUSP_QUALITY_RADIUS
     return np.flatnonzero(bad)
 
@@ -514,8 +493,16 @@ def _quality_check(verts, tris, quality_centers):
             "away from cusp neighbourhoods")
 
 
-def _make_size_fn(h, h_min, grading, centers):
+def _make_size_fn(h, grading, centers):
+    """The size field, which carries the whole mesh policy.
+
+    The size is h away from the centers (cusps, crack junctions) and
+    grading * distance near them, down to h_min = h / H_MIN_FACTOR; the
+    centers' neighbourhoods are also exempt from the angle gate.  The
+    returned callable exposes h, h_min, grading and centers.
+    """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    h_min = h / H_MIN_FACTOR
 
     def size(p):
         p = np.asarray(p, dtype=float)
@@ -526,53 +513,45 @@ def _make_size_fn(h, h_min, grading, centers):
         d = np.min(np.linalg.norm(p[..., None, :] - centers, axis=-1), axis=-1)
         return np.clip(grading * d, h_min, h)
 
-    size.centers = centers
-    size.grading = grading
+    size.h, size.h_min = h, h_min
+    size.grading, size.centers = grading, centers
     return size
 
 
-def mesh_domain(field, domain, h, grading=0.5, t=None, critical_points=None):
+def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
     """Triangulate one Neumann domain.
 
     Cusp neighbourhoods are graded down to h/64 by default; with ``t`` they
     are truncated at level lines instead (the cut carries natural boundary).
     Cracked domains are dissected along a flow line from the crack tip,
     meshed per side, and glued, leaving the crack as a slit of duplicated
-    vertices.
+    vertices.  ``critical_points`` is the census the complex was built
+    from.
     """
     if not h > 0:
         raise ValueError(f"mesh size h = {h} must be positive")
     if not grading > 0:
         raise ValueError(f"grading {grading} must be positive")
-    cps = critical_points if critical_points is not None else domain._cps
-    h_min = h / H_MIN_FACTOR
 
     if domain.crack_line_ids:
-        return _mesh_cracked(field, domain, h, grading, t, cps)
+        return _mesh_cracked(field, domain, h, grading, t, critical_points)
 
     if t is not None:
-        trunc = truncate_domain(field, domain, t, cps)
-        pieces = trunc.pieces
-        cusp_pts = []       # cusps are cut away
+        pieces = truncate_domain(field, domain, t, critical_points).pieces
+        size = _make_size_fn(h, grading, [])        # cusps are cut away
     else:
         pieces = [(p, "outer") for p in domain.pieces]
-        cusp_pts = _lifted_cusp_points(domain)
-
-    size_fn = _make_size_fn(h, h_min, grading, cusp_pts)
-    verts, tris, bedges, _ = _mesh_polygon(pieces, size_fn, h, h_min,
-                                           quality_centers=cusp_pts)
-    _quality_check(verts, tris, cusp_pts)
+        size = _make_size_fn(h, grading, _lifted_cusp_points(domain))
+    pieces = [(_resample_by_size(p, size), m) for p, m in pieces]
+    verts, tris, bedges, _ = _mesh_polygon(pieces, size)
+    _quality_check(verts, tris, size.centers)
     return TriMesh(verts, tris, bedges, h, grading, t)
 
 
 def _lifted_cusp_points(domain):
-    out = []
-    n = len(domain.chain)
-    confirmed = {c["crit_index"] for c in domain.cusps if c["confirmed"]}
-    for k in range(n):
-        if domain.vertex_seq[k] in confirmed:
-            out.append(domain.pieces[k][0])
-    return np.array(out) if out else np.empty((0, 2))
+    cusps = _cusp_indices(domain)
+    return [p[0] for v, p in zip(domain.vertex_seq, domain.pieces)
+            if v in cusps]
 
 
 def _mesh_cracked(field, domain, h, grading, t, cps):
@@ -606,20 +585,18 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
         raise MeshQualityFailure("crack continuation lift mismatch")
     eta[-1] = p_lift
 
-    h_min = h / H_MIN_FACTOR
     # grade into every junction of the dissection: the continuation lands on
     # the opposite extremum tangentially to the boundary, and the crack root
     # has wedge corners on both sides
-    centers = [tip_lift, p_lift, domain.pieces[i][0]]
-    size_fn = _make_size_fn(h, h_min, grading, centers)
-    eta_res = _resample_by_size(eta, size_fn)
-    crack_res = _resample_by_size(domain.pieces[i], size_fn)
+    size = _make_size_fn(h, grading, [tip_lift, p_lift, domain.pieces[i][0]])
+    eta_res = _resample_by_size(eta, size)
+    crack_res = _resample_by_size(domain.pieces[i], size)
 
     def pieces_range(a, b):     # chain pieces a..b-1 (mod n) as 'outer'
         out = []
         k = a
         while k % n != b % n:
-            out.append((_resample_by_size(domain.pieces[k % n], size_fn),
+            out.append((_resample_by_size(domain.pieces[k % n], size),
                         "outer"))
             k += 1
         return out
@@ -630,12 +607,8 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
     # side B: eta (tip -> p), outer chain from p back to the crack root
     side_b = [(eta_res, "eta")] + pieces_range(kp, i) + [(crack_res, "crack_R")]
 
-    va, ta, ba, slices_a = _mesh_polygon(side_a, size_fn, h, h_min,
-                                         quality_centers=centers,
-                                         resample=False)
-    vb, tb, bb, slices_b = _mesh_polygon(side_b, size_fn, h, h_min,
-                                         quality_centers=centers,
-                                         resample=False)
+    va, ta, ba, slices_a = _mesh_polygon(side_a, size)
+    vb, tb, bb, slices_b = _mesh_polygon(side_b, size)
 
     def eta_ids(slices):
         # the eta piece's vertices and the closing one, which is the first
@@ -658,7 +631,7 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
     mesh = TriMesh(verts, tris, bedges, h, grading, t)
     if not mesh.is_disk():
         raise MeshQualityFailure("glued crack mesh is not a disk")
-    _quality_check(verts, tris, centers)
+    _quality_check(verts, tris, size.centers)
     return mesh
 
 

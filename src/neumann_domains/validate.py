@@ -1,12 +1,11 @@
 """Invariant suite shared by the CLI verify subcommand and the tests."""
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import torus
 from .complexes import build_complex
 from .critical import MAX, MIN, find_critical_points
-from .geometry import _point_in_polygon
+from .geometry import _point_in_polygon, _tree
 
 HAUSDORFF_TOL = 1e-4
 ANGLE_SUM_TOL = 1e-3
@@ -14,17 +13,14 @@ CLOUD_STRIDE = 3       # every n-th line sample enters the Hausdorff cloud
 
 
 def _line_cloud(cx):
-    pts = np.vstack([ln.samples[::CLOUD_STRIDE] for ln in cx.lines])
-    w = torus.wrap(pts)
-    return np.minimum(w, torus.PERIOD * (1.0 - 1e-15))
+    return np.vstack([ln.samples[::CLOUD_STRIDE] for ln in cx.lines])
 
 
 def hausdorff_torus(a, b):
     """Symmetric Hausdorff distance between two point clouds on the torus."""
-    ta = cKDTree(a, boxsize=torus.PERIOD)
-    tb = cKDTree(b, boxsize=torus.PERIOD)
-    d_ab, _ = tb.query(a)
-    d_ba, _ = ta.query(b)
+    ta, tb = _tree(a, periodic=True), _tree(b, periodic=True)
+    d_ab, _ = tb.query(ta.data)
+    d_ba, _ = ta.query(tb.data)
     return max(float(np.max(d_ab)), float(np.max(d_ba)))
 
 

@@ -104,8 +104,8 @@ def test_exit_codes(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 3
 
     # out-of-range mesh size, eigenvalue count, cluster tolerance,
-    # truncation level, grading and eigenvalue: rejected before the complex
-    # is built
+    # truncation level, grading, eigenvalue and nodal grid: rejected before
+    # the complex is built
     def no_build(*args, **kwargs):
         raise AssertionError("build_complex ran for a bad flag")
 
@@ -124,6 +124,12 @@ def test_exit_codes(tmp_path, monkeypatch):
                   ["--grading", "nan"]):
         for command in ("position", "spectrum"):
             assert main([command, *quick, *flags]) == 2, (command, flags)
+    for res in ("0", "1", "7"):
+        assert main(["complex", *quick, "--grid-res", res]) == 2, res
+    # crack patches need a positive scale and a centre of two finite numbers
+    for flags in (["--scale", "0"], ["--scale", "-0.3"], ["--scale", "nan"],
+                  ["--center", "1,2,3"], ["--center", "nan,1"]):
+        assert main(["crack", *quick, *flags]) == 2, flags
     # the same checks apply to values read from a config file
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"mesh-h": 0.0}))

@@ -224,6 +224,12 @@ def test_nodal_vertical_lines():
     assert xs == pytest.approx([np.pi / 2, 3 * np.pi / 2], abs=1e-6)
 
 
+def test_nodal_grid_res_floor(separable):
+    for res in (0, 1, 7):
+        with pytest.raises(ValueError):
+            nodal_set(separable, res)
+
+
 def test_nodal_fixed_sign_empty():
     from neumann_domains import MorseField
     f = MorseField([(1.0, 0, 0, 0.0), (0.2, 1, 0, 0.0)])  # 1 + 0.2 cos x > 0

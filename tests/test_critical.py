@@ -3,7 +3,9 @@ import pytest
 
 from conftest import grid_sign_census
 from neumann_domains import MorseField, euler_check, find_critical_points
-from neumann_domains.critical import MAX, MIN, SADDLE, CriticalPoint
+from neumann_domains import torus
+from neumann_domains.critical import (DEDUP_RADIUS, MAX, MIN, SADDLE,
+                                      CriticalPoint, _dedup)
 from neumann_domains.errors import NotMorse, SeedGridTooCoarse
 
 
@@ -84,6 +86,32 @@ def test_degenerate_field_rejected():
 def test_seed_grid_floor(separable):
     with pytest.raises(ValueError):
         find_critical_points(separable, 4)
+
+
+def test_dedup_matches_brute_force_rule():
+    # a root is kept unless an earlier kept root lies within DEDUP_RADIUS on
+    # the torus, so a chain of roots 0.7 radii apart keeps every other one
+    def brute(points):
+        kept = []
+        for p in points:
+            if not kept or np.min(torus.dist(kept, p)) > DEDUP_RADIUS:
+                kept.append(p)
+        return np.array(kept)
+
+    r, P = DEDUP_RADIUS, 2 * np.pi
+    rng = np.random.default_rng(5)
+    # clusters at a corner and on both seams; np.mod carries the points
+    # across the seam, and can round a tiny negative coordinate up to 2*pi
+    centres = np.array([[P - 0.2 * r, P - 0.2 * r], [0.1 * r, 3.0],
+                        [1.0, P - 0.1 * r], [2.0, 2.0]])
+    pts = np.vstack([c + rng.uniform(-0.6 * r, 0.6 * r, (6, 2))
+                     for c in centres])
+    chain = np.array([[4.0 + 0.7 * r * k, 5.0] for k in range(5)])
+    pts = np.vstack([np.mod(pts, P), chain, [[P, 3.0], [1.0, P], [P, P]]])
+    for seed in range(20):
+        order = np.random.default_rng(seed).permutation(len(pts))
+        np.testing.assert_array_equal(_dedup(pts[order]), brute(pts[order]))
+    assert len(_dedup(chain)) == 3
 
 
 def test_census_idempotent_under_refinement(lambda17):

@@ -47,15 +47,17 @@ def test_truncate_no_cusp_unchanged(separable, sep_complex):
 
 
 def test_truncate_keeps_face_census(lambda17, l17_complex):
-    # meshing helpers take the census as an argument and must not rebind
-    # the one the complex stored on the face
+    # meshing helpers take the census as an argument, need it, and store
+    # none on the face
     cx = l17_complex
     face = next(f for f in cx.faces if any(c["confirmed"] for c in f.cusps))
     other_cps = list(cx.critical_points)
     truncate_domain(lambda17, face, 0.9, other_cps)
     cusp_length_decay(lambda17, face, (0.9,), other_cps)
     mesh_domain(lambda17, face, 0.1, t=0.9, critical_points=other_cps)
-    assert face._cps is cx.critical_points
+    with pytest.raises(TypeError):
+        mesh_domain(lambda17, face, 0.1, t=0.9)
+    assert not hasattr(face, "_cps")
 
 
 def test_truncate_cusped_face(lambda17, l17_complex):
@@ -176,9 +178,9 @@ def test_mesh_domain_rejects_bad_sizes(separable, sep_complex):
 
 def test_self_intersection_guard():
     bow = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [0, 0]], dtype=float)
-    size = _make_size_fn(0.3, 0.05, 0.5, np.empty((0, 2)))
+    size = _make_size_fn(0.3, 0.5, np.empty((0, 2)))
     with pytest.raises(SelfIntersectingBoundary):
-        _mesh_polygon([(bow, "outer")], size, 0.3, 0.05)
+        _mesh_polygon([(bow, "outer")], size)
 
 
 def test_lost_boundary_segment_raises():
@@ -188,10 +190,10 @@ def test_lost_boundary_segment_raises():
     poly = np.array([[0, 0], [1, 0], [1, 0.04], [0.5, 0.02], [-0.2, 0.04],
                      [-0.2, -0.1], [1.1, -0.1], [0.5, -0.02], [0, -0.01],
                      [0, 0]])
-    size = _make_size_fn(0.3, 0.3 / 64, 0.5, np.empty((0, 2)))
+    size = _make_size_fn(0.3, 0.5, np.empty((0, 2)))
     with pytest.raises(MeshQualityFailure,
                        match="^3 boundary segments lost in triangulation$"):
-        _mesh_polygon([(poly, "outer")], size, 0.3, 0.3 / 64, resample=False)
+        _mesh_polygon([(poly, "outer")], size)
 
 
 def test_off_export(tmp_path, separable, sep_complex):
