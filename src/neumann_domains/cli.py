@@ -84,20 +84,33 @@ def build_parser():
     return ap
 
 
-def _apply_config(args):
+def _parse_args(ap, argv):
+    """Parse argv, reading a --config file as flags placed before argv's own.
+
+    Explicit flags come last and so win, and every config value goes through
+    its flag's type.  Keys name a flag's destination, with ``-`` or ``_``
+    (``mesh-h``, ``bump_k``); ``true`` gives a bare switch, and ``false`` and
+    ``null`` are left out.
+    """
+    args = ap.parse_args(argv)
     if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    # explicit flags win: only fill values still at the subcommand's defaults
-    defaults = vars(build_parser().parse_args([args.command]))
+    if not isinstance(conf, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    commands = next(a for a in ap._actions if a.dest == "command").choices
+    flags = {a.dest: a for a in commands[args.command]._actions
+             if a.dest != "help"}
+    tokens = []
     for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) == defaults[attr]:
-            setattr(args, attr, val)
-    return args
+        if val is not None and val is not False:
+            opt = action.option_strings[-1]
+            tokens.append(opt if val is True else f"{opt}={val}")
+    return ap.parse_args([args.command, *tokens, *argv[1:]])
 
 
 def _load_field(args):
@@ -253,10 +266,9 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
-        args = _apply_config(args)
+        args = _parse_args(build_parser(), argv)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,7 +37,7 @@ def build_crack_perturbation(field, center, scale, K):
     with the base gradient at ``center``.  Raises
     PatchContainsCriticalPoint / AmplitudeTooSmall / PatchTooLarge when the
     construction hypotheses fail, and ValueError unless ``center`` is two
-    finite numbers and ``scale`` is positive.
+    finite numbers, ``scale`` is positive and ``K`` is finite.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (2,) or not np.isfinite(center).all():
@@ -45,6 +45,8 @@ def build_crack_perturbation(field, center, scale, K):
                          "finite numbers")
     if not scale > 0:
         raise ValueError(f"crack scale {scale} must be positive")
+    if not np.isfinite(K):
+        raise ValueError(f"bump amplitude K = {K} must be finite")
     g0 = field.gradient(center)
     gn = np.linalg.norm(g0)
     e1 = g0 / gn

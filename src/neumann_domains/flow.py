@@ -2,12 +2,14 @@
 
 Trajectories of xdot = -grad f (forward) or +grad f (backward) are integrated
 with an embedded Dormand-Prince 5(4) scheme, batched over many start points.
-A trajectory terminates when it enters the capture ball of a critical point
-that attracts its flow direction; the endpoint is then completed exactly to
-the critical point along the current chord.  The accepted steps of each
-trajectory are densified by cubic Hermite interpolation and resampled to
-uniform arclength, giving one ``FlowLine``.  The integration and stopping
-parameters are the module constants below, read at call time.
+The scheme is first same as last: the seventh stage is evaluated at the
+accepted point, so its slope is the next step's first.  A trajectory ends when
+it enters the capture ball of a critical point that attracts its flow
+direction; the endpoint is then completed exactly to the critical point along
+the current chord.  Each trajectory's chain of accepted states and slopes is
+densified by cubic Hermite interpolation and resampled to uniform arclength,
+giving one ``FlowLine``.  The integration and stopping parameters are the
+module constants below, read at call time.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ FAST_AXIS_RADIUS = 2e-3    # chord radius for lines arriving along the fast axis
 
 FORWARD, BACKWARD = "forward", "backward"
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of _DP_A is the fifth-order weights
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -46,7 +48,6 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                   -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -95,10 +96,11 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
                      record=True):
     """Advance a batch of trajectories to capture.
 
-    Returns (end_state, captured, steps).  ``captured`` holds the census
-    index each trajectory ended at.  With ``record``, ``steps[j]`` holds
-    trajectory j's accepted steps as arrays (x0, f0, x1, f1, dt) for
-    densification; otherwise ``steps`` is None.
+    Returns (captured, chains).  ``captured`` holds the census index each
+    trajectory ended at.  With ``record``, ``chains[j]`` is trajectory j's
+    accepted states and slopes, start included, and its step sizes, as arrays
+    (xs, fs, dts); otherwise ``chains`` is None.  Capture is tested only after
+    an accepted step, so every chain has at least one step.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B = len(x0)
@@ -114,13 +116,15 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
     attract_kind = np.where(sgn < 0, MIN, MAX)
 
     X = x0.copy()
+    F = _rhs(field, X, sgn)
     t = np.zeros(B)
     h = np.full(B, 1e-3)
     arc = np.zeros(B)
     armed = start_exclude < 0
     active = np.ones(B, dtype=bool)
     captured = np.full(B, -1, dtype=int)
-    steps = []      # per RK iteration: (acc, x0, f0, x1, f1, dt)
+    # (owner, x, f, dt of the step ending at x) per accepted batch
+    chain = [(np.arange(B), x0, F.copy(), np.zeros(B))]
 
     n_stalled = 0
     while active.any():
@@ -129,13 +133,12 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         hh = h[idx][:, None]
         s = sgn[idx]
         k = np.empty((7, len(idx), 2))
-        k[0] = _rhs(field, x, s)
+        k[0] = F[idx]
         for i in range(1, 7):
             xi = x + hh * np.tensordot(_DP_A[i], k[:i], axes=(0, 0))
             k[i] = _rhs(field, xi, s)
-        x_new = x + hh * np.tensordot(_DP_B, k, axes=(0, 0))
         err = hh * np.tensordot(_DP_E, k, axes=(0, 0))
-        scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(xi))
         enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
 
         accept = enorm <= 1.0
@@ -154,16 +157,15 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         if not accept.any():
             continue
 
-        acc = idx[accept]
-        xa_old = x[accept]
-        xa = x_new[accept]
+        acc = idx[accept]      # a rejected row keeps its state and slope
+        xa = xi[accept]
         dta = hh[accept, 0]
-        arc[acc] += np.linalg.norm(xa - xa_old, axis=1)
+        arc[acc] += np.linalg.norm(xa - x[accept], axis=1)
         t[acc] += dta
         X[acc] = xa
+        F[acc] = k[6][accept]
         if record:
-            steps.append((acc, xa_old, k[0][accept], xa,
-                          _rhs(field, xa, sgn[acc]), dta))
+            chain.append((acc, xa, F[acc], dta))
 
         # arm once clear of the start critical point
         need_arm = acc[~armed[acc]]
@@ -191,20 +193,18 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
                 f"trajectory from {x0[over[0]]} exceeded the integration budget")
 
     if not record:
-        return X, captured, None
-    # group the recorded steps per trajectory, in step order
-    owner, *cols = (np.concatenate(c) for c in zip(*steps))
+        return captured, None
+    # group the recorded states per trajectory, in step order
+    owner, *cols = (np.concatenate(c) for c in zip(*chain))
     order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(B + 1))
-    cols = [c[order] for c in cols]
-    per_line = [tuple(c[bounds[j]:bounds[j + 1]] for c in cols)
-                for j in range(B)]
-    return X, captured, per_line
+    cuts = np.searchsorted(owner[order], np.arange(1, B))
+    xs, fs, dts = (np.split(c[order], cuts) for c in cols)
+    return captured, [(x, f, d[1:]) for x, f, d in zip(xs, fs, dts)]
 
 
-def _densify(x0, f0, x1, f1, dt):
-    """Cubic-Hermite subdivision of accepted steps into a fine polyline."""
-    chord = np.linalg.norm(x1 - x0, axis=1)
+def _densify(xs, fs, dt):
+    """Cubic-Hermite subdivision of a chain of states into a fine polyline."""
+    chord = np.linalg.norm(np.diff(xs, axis=0), axis=1)
     nsub = np.maximum(1, np.ceil(chord / RECORD_SPACING).astype(int))
     total = int(np.sum(nsub))
     step_of = np.repeat(np.arange(len(nsub)), nsub)
@@ -215,9 +215,9 @@ def _densify(x0, f0, x1, f1, dt):
     h01 = -2 * tau ** 3 + 3 * tau ** 2
     h11 = tau ** 3 - tau ** 2
     d = dt[step_of][:, None]
-    pts = (h00 * x0[step_of] + h10 * d * f0[step_of]
-           + h01 * x1[step_of] + h11 * d * f1[step_of])
-    return np.vstack([pts, x1[-1]])
+    pts = (h00 * xs[step_of] + h10 * d * fs[step_of]
+           + h01 * xs[step_of + 1] + h11 * d * fs[step_of + 1])
+    return np.vstack([pts, xs[-1]])
 
 
 def _resample(points):
@@ -236,8 +236,8 @@ def _resample(points):
     return out
 
 
-def _extrapolate_tangent(c, c_lift, end_state, step_starts):
-    """Limit tangent at an extremum from deep capture-time states.
+def _extrapolate_tangent(c, c_lift, states):
+    """Limit tangent at an extremum from a chain of states ending at capture.
 
     Lines arriving tangent to the slow Hessian axis have secant angles that
     converge like r**beta (beta = |h_max|/|h_min| - 1), so two probe radii
@@ -253,7 +253,7 @@ def _extrapolate_tangent(c, c_lift, end_state, step_starts):
     beta = float(np.max(h) / np.min(h)) - 1.0
     if beta < 1e-9:
         return None
-    v1 = end_state - c_lift
+    v1 = states[-1] - c_lift
     r1 = np.linalg.norm(v1)
     phi1 = np.arctan2(v1[1], v1[0])
     fast = c.hess_eigvecs[:, int(np.argmax(h))]
@@ -267,10 +267,10 @@ def _extrapolate_tangent(c, c_lift, end_state, step_starts):
         return "fast"
     # the last step that starts at least 3 r1 out is the second probe
     far = np.flatnonzero(
-        np.linalg.norm(step_starts - c_lift, axis=1) >= 3.0 * r1)
+        np.linalg.norm(states[:-1] - c_lift, axis=1) >= 3.0 * r1)
     if not len(far):
         return None
-    v2 = step_starts[far[-1]] - c_lift
+    v2 = states[far[-1]] - c_lift
     r2 = np.linalg.norm(v2)
     phi2 = np.arctan2(v2[1], v2[0])
     dphi = (phi2 - phi1 + np.pi) % (2 * np.pi) - np.pi
@@ -279,14 +279,15 @@ def _extrapolate_tangent(c, c_lift, end_state, step_starts):
     return np.array([np.cos(phi0), np.sin(phi0)])
 
 
-def _finish_line(start, steps, end_state, cap_index, critical_points,
-                 direction, start_index, prepend=None):
+def _finish_line(chain, cap_index, critical_points, direction, start_index,
+                 prepend=None):
     """Densify, snap the endpoint to the captured critical point, resample.
 
     The end tangent is the extrapolated limit tangent, a moderate-radius
     chord for fast-axis arrivals, or else the capture chord.
     """
-    pts = _densify(*steps) if len(steps[0]) else np.atleast_2d(start)
+    pts = _densify(*chain)
+    end_state = chain[0][-1]
     if prepend is not None:
         pts = np.vstack([prepend, pts])
     end_index = None
@@ -295,8 +296,7 @@ def _finish_line(start, steps, end_state, cap_index, critical_points,
     if cap_index >= 0:
         c = critical_points[cap_index]
         c_lift = torus.nearest_lift(c.position, end_state)
-        if len(steps[0]):
-            end_tangent = _extrapolate_tangent(c, c_lift, end_state, steps[0])
+        end_tangent = _extrapolate_tangent(c, c_lift, chain[0])
         if end_tangent is None:
             v = end_state - c_lift
             nv = np.linalg.norm(v)
@@ -323,10 +323,10 @@ def integrate_flow(field, x0, direction, critical_points):
     if np.linalg.norm(field.gradient(x0)) <= GRAD_GATE:
         raise ValueError("start point is (numerically) critical")
     sgn = -1.0 if direction == FORWARD else 1.0
-    X, captured, steps = _integrate_batch(field, x0[None, :], [sgn],
-                                          critical_points)
-    return _finish_line(x0, steps[0], X[0], captured[0], critical_points,
-                        direction, None)
+    captured, chains = _integrate_batch(field, x0[None, :], [sgn],
+                                        critical_points)
+    return _finish_line(chains[0], captured[0], critical_points, direction,
+                        None)
 
 
 def _canonical_eigvecs(cp):
@@ -360,10 +360,10 @@ def trace_all_neumann_lines(field, saddles, critical_points):
                 X0.append(s.position + pm * LAUNCH_OFFSET * v)
                 sgns.append(sgn)
                 starts.append(s)
-    X, captured, steps = _integrate_batch(
+    captured, chains = _integrate_batch(
         field, np.array(X0), sgns, critical_points,
         start_exclude=np.array([s.index for s in starts]))
-    out = [_finish_line(X0[j], steps[j], X[j], captured[j], critical_points,
+    out = [_finish_line(chains[j], captured[j], critical_points,
                         FORWARD if sgns[j] < 0 else BACKWARD, s.index,
                         prepend=s.position)
            for j, s in enumerate(starts)]
@@ -376,6 +376,6 @@ def flow_endpoints(field, x0s, directions, critical_points):
     Returns an array of critical point indices (-1 when uncaptured).
     """
     sgn = np.array([-1.0 if d == FORWARD else 1.0 for d in directions])
-    _, captured, _ = _integrate_batch(field, np.asarray(x0s, dtype=float),
-                                      sgn, critical_points, record=False)
+    captured, _ = _integrate_batch(field, np.asarray(x0s, dtype=float), sgn,
+                                   critical_points, record=False)
     return captured

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from neumann_domains import cli
 from neumann_domains.cli import main
 
@@ -92,6 +94,51 @@ def test_config_file_with_flag_override(tmp_path):
     assert data["config"]["seed_grid"] == 16     # config fills a default
 
 
+@pytest.fixture
+def config_run(tmp_path, monkeypatch):
+    """main() with a config file; returns (exit code, parsed args)."""
+    seen = {}
+
+    def record(args):
+        seen.update(vars(args))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_position", record)
+    monkeypatch.setattr(cli, "cmd_complex", record)
+    conf = tmp_path / "conf.json"
+
+    def run_with(conf_dict, command, *argv):
+        seen.clear()
+        conf.write_text(json.dumps(conf_dict))
+        return main([command, "--config", str(conf), *argv]), dict(seen)
+    return run_with
+
+
+def test_config_values_take_the_flag_type(config_run):
+    code, args = config_run({"mesh-h": "0.05", "seed-grid": "16"}, "position")
+    assert code == 0
+    assert args["mesh_h"] == 0.05 and isinstance(args["mesh_h"], float)
+    assert args["seed_grid"] == 16 and isinstance(args["seed_grid"], int)
+    # keys may name the destination; true is a bare switch, null is left out
+    code, args = config_run({"mesh_h": 0.3, "truncate": None}, "position")
+    assert code == 0 and args["mesh_h"] == 0.3 and args["truncate"] is None
+    code, args = config_run({"grid_res": 64, "svg": True}, "complex")
+    assert code == 0 and args["grid_res"] == 64 and args["svg"] is True
+    # a key that is not a flag of the subcommand is a configuration error
+    assert config_run({"truncate": 0.9}, "complex")[0] == 2
+
+
+def test_config_value_rejected_by_flag_type(config_run):
+    with pytest.raises(SystemExit) as exc:
+        config_run({"grid-res": 64.5}, "complex")
+    assert exc.value.code == 2
+
+
+def test_explicit_flag_at_default_beats_config(config_run):
+    code, args = config_run({"mesh-h": 0.3}, "position", "--mesh-h", "0.06")
+    assert code == 0 and args["mesh_h"] == 0.06
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     # 2: configuration problems
     assert main(["crit", "--field", str(tmp_path / "nope.json"),
@@ -126,9 +173,11 @@ def test_exit_codes(tmp_path, monkeypatch):
             assert main([command, *quick, *flags]) == 2, (command, flags)
     for res in ("0", "1", "7"):
         assert main(["complex", *quick, "--grid-res", res]) == 2, res
-    # crack patches need a positive scale and a centre of two finite numbers
+    # crack patches need a positive scale, a centre of two finite numbers
+    # and a finite bump amplitude
     for flags in (["--scale", "0"], ["--scale", "-0.3"], ["--scale", "nan"],
-                  ["--center", "1,2,3"], ["--center", "nan,1"]):
+                  ["--center", "1,2,3"], ["--center", "nan,1"],
+                  ["--bump-K", "nan"], ["--bump-K", "inf"]):
         assert main(["crack", *quick, *flags]) == 2, flags
     # the same checks apply to values read from a config file
     conf = tmp_path / "bad.json"

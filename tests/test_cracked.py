@@ -81,6 +81,13 @@ def test_amplitude_gate(separable):
         build_crack_perturbation(separable, (np.pi / 2, np.pi / 2), 0.3, 8.0)
 
 
+@pytest.mark.parametrize("K", [np.nan, np.inf, -np.inf])
+def test_bump_amplitude_must_be_finite(separable, K):
+    # NaN compares False against the amplitude gate, so it is rejected first
+    with pytest.raises(ValueError, match="finite"):
+        build_crack_perturbation(separable, (np.pi / 2, np.pi / 2), 0.3, K)
+
+
 def test_patch_too_large(separable):
     with pytest.raises(PatchTooLarge):
         build_crack_perturbation(separable, (np.pi / 2, np.pi / 2), 1.1, 60.0)

@@ -70,6 +70,29 @@ def test_separable_saddle_lines(separable, sep_points):
             assert np.max(np.abs(ln.samples[:, 1] - np.pi)) < 1e-6
 
 
+class _GradientRecorder:
+    """Field proxy that keeps every row passed to ``gradient``."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []
+
+    def gradient(self, pts):
+        self.rows.extend(np.asarray(pts, dtype=float).reshape(-1, 2).tolist())
+        return self.field.gradient(pts)
+
+
+def test_each_flow_state_evaluated_once(separable, sep_points):
+    # first same as last: the seventh Dormand-Prince stage is the accepted
+    # point, and its slope serves as the next step's first
+    rec = _GradientRecorder(separable)
+    saddles = [p for p in sep_points if p.kind == SADDLE]
+    trace_all_neumann_lines(rec, saddles, sep_points)
+    assert len(rec.rows) > 8 * len(saddles)
+    repeats = len(rec.rows) - len(set(map(tuple, rec.rows)))
+    assert repeats == 0
+
+
 def test_anisotropic_same_combinatorics(anisotropic):
     pts = find_critical_points(anisotropic, 16)
     saddle = next(p for p in pts
