@@ -19,13 +19,14 @@ from .contours import polyline_intersections
 from .critical import MIN, MAX, SADDLE, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      ProportionalHessian, UnknownCriticalPoint)
-from .flow import trace_all_neumann_lines
+from .flow import _point_at_radius, trace_all_neumann_lines
 
 ORDER_RADIUS = 0.02        # radius at which departure angles order the darts
 CUSP_ANGLE_THRESHOLD = np.deg2rad(5.0)
 CUSP_FIT_RADIUS = 0.1
 CUSP_FIT_R2 = 0.99
 CROSSING_EXCLUSION = 5e-3  # ignore near-critical-point contacts
+CROSSING_COARSEN = 10      # every n-th line sample is a coarse chord node
 REPORT_DECIMATE = 10       # every n-th line sample goes into the report
 NODAL_SADDLE_RADIUS = 1e-2  # nodal crossings this close to a saddle sit on it
 NODAL_SECANT_ARC = 0.01    # half-length of the nodal secant at other crossings
@@ -96,7 +97,8 @@ class NeumannComplex:
 
     def is_morse_smale(self):
         """True iff no Neumann line joins two saddle points."""
-        return not any(ln.ends_at_saddle for ln in self.lines)
+        return not any(self.critical_points[ln.end_index].kind == SADDLE
+                       for ln in self.lines)
 
     def angles_at(self, c):
         """Angles between consecutive incident lines at a critical point.
@@ -118,17 +120,16 @@ class NeumannComplex:
     def _measure_angle(self, dart):
         """Limit tangent direction of the dart at its origin critical point.
 
-        At a saddle the first-sample chord is accurate; at an extremum the
-        chord recorded at the (deep) capture radius serves as the tangent.
-        Both come from the traced geometry, so the values carry the
-        integration error rather than being exact by construction.
+        At the start (a saddle) the first-sample chord is accurate; at the
+        captured end the line's recorded end tangent serves.  Both come from
+        the traced geometry, so the values carry the integration error
+        rather than being exact by construction.
         """
         ln = self.lines[dart // 2]
         if dart % 2 == 0:
             v = ln.samples[1] - ln.samples[0]
         else:
-            v = ln.end_tangent if ln.end_tangent is not None \
-                else ln.samples[-2] - ln.samples[-1]
+            v = ln.end_tangent
         return float(np.arctan2(v[1], v[0]))
 
     # -- export ----------------------------------------------------------------
@@ -141,7 +142,7 @@ class NeumannComplex:
                 pts = np.vstack([pts, ln.samples[-1]])
             lines.append({
                 "start": int(ln.start_index),
-                "end": int(ln.end_index) if ln.end_index is not None else None,
+                "end": int(ln.end_index),
                 "direction": ln.direction,
                 "length": float(ln.length),
                 "points": np.round(torus.wrap(pts), 9).tolist(),
@@ -178,18 +179,17 @@ def cusp_exponent(c):
 # construction
 # ---------------------------------------------------------------------------
 
-def _departure_direction(line, dart, radius):
-    """Direction in which the dart leaves its origin, probed at ``radius``."""
-    r = min(radius, 0.45 * line.length)
-    p = line.point_at_radius("start" if dart % 2 == 0 else "end", r)
-    ref = line.samples[0] if dart % 2 == 0 else line.samples[-1]
-    v = p - ref
-    return np.arctan2(v[1], v[0])
-
-
 def _oriented_from_origin(lines, dart):
     ln = lines[dart // 2]
     return ln.samples if dart % 2 == 0 else ln.samples[::-1]
+
+
+def _departure_direction(lines, dart):
+    """Direction in which the dart leaves its origin, probed at ORDER_RADIUS."""
+    pts = _oriented_from_origin(lines, dart)
+    r = min(ORDER_RADIUS, 0.45 * lines[dart // 2].length)
+    v = _point_at_radius(pts, r) - pts[0]
+    return np.arctan2(v[1], v[0])
 
 
 TIE_ANGLE_TOL = 1e-3      # darts this close in probe angle get walked apart
@@ -240,16 +240,12 @@ def _refine_tied_order(lines, ordered):
     return out
 
 
-def _face_walk(darts_at, rev):
-    """Orbits of d -> predecessor of rev(d) in the cyclic order at its head."""
+def _face_walk(darts_at):
+    """Orbits of d -> predecessor of d ^ 1 in the cyclic order at its head."""
     pos = {}
     for v, ds in darts_at.items():
         for i, (d, _) in enumerate(ds):
             pos[d] = (v, i)
-    head = {}
-    for v, ds in darts_at.items():
-        for d, _ in ds:
-            head[rev(d)] = v
     faces = []
     seen = set()
     for d0 in sorted(pos):
@@ -260,8 +256,7 @@ def _face_walk(darts_at, rev):
         while True:
             chain.append(d)
             seen.add(d)
-            r = rev(d)
-            v, i = pos[r]
+            v, i = pos[d ^ 1]
             ds = darts_at[v]
             d = ds[(i - 1) % len(ds)][0]
             if d == d0:
@@ -335,9 +330,10 @@ def _fine_crossing(lines, li, lj, near):
     return bool(np.max(d_ab) >= COINCIDENCE_TOL)
 
 
-def _check_crossings(lines, critical_points, coarsen=10):
+def _check_crossings(lines, critical_points):
     """Raise LineCrossing if two lines intersect away from critical points."""
-    owner, _, a0, a1 = geometry.chords([ln.samples for ln in lines], coarsen)
+    owner, _, a0, a1 = geometry.chords([ln.samples for ln in lines],
+                                       CROSSING_COARSEN)
     i, j, shift = geometry.candidate_pairs(a0, a1)
     other = owner[i] != owner[j]
     i, j, shift = i[other], j[other], shift[other]
@@ -353,7 +349,7 @@ def _check_crossings(lines, critical_points, coarsen=10):
             continue
         # lines converging into a shared endpoint legitimately approach
         # each other; ignore contacts in that neighbourhood
-        if any(s is not None and d[s] < 0.1 for s in ends[li] & ends[lj]):
+        if any(d[s] < 0.1 for s in ends[li] & ends[lj]):
             continue
         if _fine_crossing(lines, li, lj, x):
             raise LineCrossing(f"lines {li} and {lj} cross near {x}")
@@ -434,13 +430,13 @@ def _attach_extrema(face, cps):
     face.min_index = int(minima.pop())
 
 
-def build_complex(field, seed_grid=24, critical_points=None):
+def build_complex(field, seed_grid=24):
     """Trace the Neumann line set and assemble the partition of the torus.
 
     Raises EulerMismatch if V - E + F != 0 and LineCrossing if traced lines
     intersect away from critical points.
     """
-    cps = critical_points or find_critical_points(field, seed_grid)
+    cps = find_critical_points(field, seed_grid)
     saddles = [c for c in cps if c.kind == SADDLE]
     groups = trace_all_neumann_lines(field, saddles, cps)
     lines = [ln for g in groups for ln in g]
@@ -450,16 +446,14 @@ def build_complex(field, seed_grid=24, critical_points=None):
     darts_at = {}
     for li, ln in enumerate(lines):
         for o, vtx in ((0, ln.start_index), (1, ln.end_index)):
-            if vtx is None:
-                continue
             d = 2 * li + o
-            ang = _departure_direction(ln, d, ORDER_RADIUS)
-            darts_at.setdefault(vtx, []).append((d, ang))
+            darts_at.setdefault(vtx, []).append(
+                (d, _departure_direction(lines, d)))
     for v in darts_at:
         darts_at[v].sort(key=lambda da: da[1])
         darts_at[v] = _refine_tied_order(lines, darts_at[v])
 
-    chains = _face_walk(darts_at, rev=lambda d: d ^ 1)
+    chains = _face_walk(darts_at)
 
     V, E, F = len(cps), len(lines), len(chains)
     if V - E + F != 0:

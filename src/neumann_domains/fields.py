@@ -155,6 +155,9 @@ class MorseField:
         if not np.allclose(self.wave, np.round(self.wave)):
             raise ValueError("wave vectors must be integer pairs")
         self.phase = np.array([mo[3] for mo in modes], dtype=float)
+        if not (np.all(np.isfinite(self.amp))
+                and np.all(np.isfinite(self.phase))):
+            raise ValueError("mode amplitudes and phases must be finite")
         self.perturbations = list(perturbations)
 
     # -- evaluation ---------------------------------------------------------
@@ -223,10 +226,16 @@ class MorseField:
 
     @classmethod
     def from_dict(cls, d):
-        modes = [(mo["a"], mo["m"], mo["n"], mo.get("theta", 0.0))
-                 for mo in d["modes"]]
-        perts = [CrackPerturbation.from_dict(p)
-                 for p in d.get("perturbations", [])]
+        """Field from its ``to_dict`` form; ValueError names a malformed one."""
+        try:
+            modes = [(mo["a"], mo["m"], mo["n"], mo.get("theta", 0.0))
+                     for mo in d["modes"]]
+            perts = [CrackPerturbation.from_dict(p)
+                     for p in d.get("perturbations", [])]
+        except KeyError as exc:
+            raise ValueError(f"field definition lacks the key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed field definition: {exc}") from exc
         return cls(modes, perts)
 
     def to_json(self, path=None):

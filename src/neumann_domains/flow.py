@@ -65,27 +65,25 @@ def _point_at_radius(pts, r):
 class FlowLine:
     """A traced trajectory, resampled to uniform arclength spacing.
 
+    Every line runs from its start to a captured critical point: tracing ends
+    only by capture, and raises when the budget or error control fails.
     ``samples`` are continuous (unwrapped) plane coordinates; the start is in
-    the fundamental domain.  ``start_index``/``end_index`` refer to the
-    critical point census, or are None.  ``end_tangent`` is the unit vector
-    leaving the captured endpoint into the line (None without a capture).
+    the fundamental domain and the last sample is the lift of the captured
+    point.  ``end_index`` is that point's census index, and ``start_index``
+    the launching saddle's (None for the free starts of ``integrate_flow``).
+    ``end_tangent`` is the unit vector leaving the captured point into the
+    line.
     """
 
     def __init__(self, samples, direction, start_index, end_index,
-                 end_tangent=None, ends_at_saddle=False):
+                 end_tangent):
         self.samples = samples
         self.direction = direction
         self.start_index = start_index
         self.end_index = end_index
         self.end_tangent = end_tangent
-        self.ends_at_saddle = ends_at_saddle
         seg = np.diff(samples, axis=0)
         self.length = float(np.sum(np.linalg.norm(seg, axis=1)))
-
-    def point_at_radius(self, which_end, r):
-        """First sample at least distance r from the given end ('start'|'end')."""
-        return _point_at_radius(
-            self.samples if which_end == "start" else self.samples[::-1], r)
 
 
 def _rhs(field, x, sgn):
@@ -225,8 +223,6 @@ def _resample(points):
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     L = cum[-1]
-    if L == 0.0:
-        return points[:1]
     s = np.arange(0.0, L, RESAMPLE_SPACING)
     if L - s[-1] > 1e-12:
         s = np.append(s, L)
@@ -290,26 +286,18 @@ def _finish_line(chain, cap_index, critical_points, direction, start_index,
     end_state = chain[0][-1]
     if prepend is not None:
         pts = np.vstack([prepend, pts])
-    end_index = None
-    end_tangent = None
-    ends_at_saddle = False
-    if cap_index >= 0:
-        c = critical_points[cap_index]
-        c_lift = torus.nearest_lift(c.position, end_state)
-        end_tangent = _extrapolate_tangent(c, c_lift, chain[0])
-        if end_tangent is None:
-            v = end_state - c_lift
-            nv = np.linalg.norm(v)
-            end_tangent = v / nv if nv > 0 else None
-        pts = np.vstack([pts, c_lift])
-        end_index = cap_index
-        ends_at_saddle = c.kind == SADDLE
-    samples = _resample(pts)
+    c = critical_points[cap_index]
+    c_lift = torus.nearest_lift(c.position, end_state)
+    end_tangent = _extrapolate_tangent(c, c_lift, chain[0])
+    if end_tangent is None:
+        v = end_state - c_lift
+        end_tangent = v / np.linalg.norm(v)
+    samples = _resample(np.vstack([pts, c_lift]))
     if isinstance(end_tangent, str):   # fast-axis arrival
         v = _point_at_radius(samples[::-1], FAST_AXIS_RADIUS) - samples[-1]
         end_tangent = v / np.linalg.norm(v)
-    return FlowLine(samples, direction, start_index, end_index, end_tangent,
-                    ends_at_saddle)
+    return FlowLine(samples, direction, start_index, int(cap_index),
+                    end_tangent)
 
 
 def integrate_flow(field, x0, direction, critical_points):
@@ -373,7 +361,7 @@ def trace_all_neumann_lines(field, saddles, critical_points):
 def flow_endpoints(field, x0s, directions, critical_points):
     """Capture targets for a batch of start points (no polylines recorded).
 
-    Returns an array of critical point indices (-1 when uncaptured).
+    Returns an array of critical point indices.
     """
     sgn = np.array([-1.0 if d == FORWARD else 1.0 for d in directions])
     captured, _ = _integrate_batch(field, np.asarray(x0s, dtype=float), sgn,

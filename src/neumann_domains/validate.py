@@ -57,7 +57,7 @@ def run_invariants(field, seed_grid=24, rng_seed=7):
     # angle sums
     worst = 0.0
     for c in cx.critical_points:
-        if c.degree and c.degree >= 2:
+        if c.degree >= 2:
             worst = max(worst, abs(float(np.sum(cx.angles_at(c.index)))
                                    - 2 * np.pi))
     results.append(("angle_sums_2pi", worst <= ANGLE_SUM_TOL,

@@ -5,11 +5,10 @@ import time
 
 import numpy as np
 from neumann_domains import (build_complex, build_crack_perturbation,
-                             cusp_length_decay, find_critical_points,
-                             load_bundled, mesh_domain, neumann_spectrum,
-                             nodal_neumann_angles, nodal_set,
-                             restriction_residual, spectral_position,
-                             verify_cracked)
+                             cusp_length_decay, load_bundled, mesh_domain,
+                             neumann_spectrum, nodal_neumann_angles,
+                             nodal_set, restriction_residual,
+                             spectral_position, verify_cracked)
 from neumann_domains.critical import MAX, MIN, SADDLE
 from neumann_domains.validate import run_invariants
 
@@ -24,7 +23,8 @@ def report(num, ok, detail):
 def test_criterion_1_separable_pipeline():
     t0 = time.perf_counter()
     field = load_bundled("separable")
-    pts = find_critical_points(field, 16)
+    cx = build_complex(field, 16)
+    pts = cx.critical_points
     locs = {(0.0, 0.0): MAX, (np.pi, np.pi): MIN,
             (0.0, np.pi): SADDLE, (np.pi, 0.0): SADDLE}
     assert len(pts) == 4
@@ -32,7 +32,6 @@ def test_criterion_1_separable_pipeline():
         key = min(locs, key=lambda q: np.hypot(*(p.position - q)))
         assert np.hypot(*(p.position - key)) <= 1e-8
         assert p.kind == locs[key]
-    cx = build_complex(field, 16, critical_points=pts)
     assert (len(cx.critical_points), len(cx.lines), len(cx.faces)) == (4, 8, 4)
     assert all(f.classification == "regular" for f in cx.faces)
     assert all(abs(f.area - np.pi ** 2) < 1e-4 for f in cx.faces)

@@ -145,6 +145,17 @@ def test_exit_codes(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["spectrum", "--field", "anisotropic", "--domain-index",
                  "99", "--out", str(tmp_path / "o")]) == 2
+    # malformed field files: no modes, not an object, a mode without an
+    # amplitude, an empty perturbation and a null phase
+    two_modes = [{"a": 1.0, "m": 1, "n": 0}, {"a": 1.0, "m": 0, "n": 1}]
+    for i, bad in enumerate((
+            {"foo": 1}, [1, 2], {"modes": [{"m": 1, "n": 0}]},
+            {"modes": two_modes, "perturbations": [{}]},
+            {"modes": [{**two_modes[0], "theta": None}, two_modes[1]]})):
+        path = tmp_path / f"bad_field{i}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["crit", "--field", str(path),
+                     "--out", str(tmp_path / "o")]) == 2, bad
     # 3: numerical failure (spectrum does not extend past lam)
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",

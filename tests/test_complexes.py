@@ -113,7 +113,8 @@ def test_is_morse_smale_flag(sep_complex, l17_complex):
     cx = copy.copy(sep_complex)
     cx.lines = list(cx.lines)
     bad = copy.copy(cx.lines[0])
-    bad.ends_at_saddle = True
+    bad.end_index = next(c.index for c in cx.critical_points
+                         if c.kind == SADDLE and c.index != bad.start_index)
     cx.lines[0] = bad
     assert not cx.is_morse_smale()
 
@@ -299,26 +300,27 @@ def test_generic_lambda5_field(generic_complex):
                                                           abs=1e-6)
 
 
-def test_synthetic_line_crossing_detected(sep_complex):
+def test_synthetic_line_crossing_detected(sep_complex, monkeypatch):
     # two fabricated straight lines crossing at a right angle must raise,
     # also where the crossing lies past a's last stride-5 sample (1004
     # samples: the last chord runs from sample 1000 to 1003)
+    from neumann_domains import complexes
     from neumann_domains.complexes import _check_crossings
     from neumann_domains.errors import LineCrossing
     from neumann_domains.flow import FlowLine
 
+    monkeypatch.setattr(complexes, "CROSSING_COARSEN", 5)
     for n_a, x_b in ((1001, 1.50043), (1004, 1.9985)):
         s = np.linspace(0.0, 1.0, n_a)
         a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
         s = np.linspace(0.0, 1.0, 1001)
         b = np.stack([np.full_like(s, x_b), 1.0 + s], axis=-1)
-        la = FlowLine(a, "forward", None, None)
+        la = FlowLine(a, "forward", 0, 1, np.array([-1.0, 0.0]))
         # the same crossing with b's unwrapped coordinates a period away
         for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
-            lb = FlowLine(b + lift, "forward", None, None)
+            lb = FlowLine(b + lift, "forward", 2, 3, np.array([0.0, -1.0]))
             with pytest.raises(LineCrossing):
-                _check_crossings([la, lb], sep_complex.critical_points,
-                                 coarsen=5)
+                _check_crossings([la, lb], sep_complex.critical_points)
 
 
 def test_faces_tile_torus(l17_complex):

@@ -93,3 +93,17 @@ def test_negation(lambda17):
     X = rng.uniform(0, 2 * np.pi, size=(100, 2))
     assert np.allclose(neg.value(X), -lambda17.value(X), atol=1e-15)
     assert np.allclose(neg.gradient(X), -lambda17.gradient(X), atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [
+    {"foo": 1},
+    [1, 2],
+    {"modes": [{"m": 1, "n": 0}]},
+    {"modes": [{"a": 1.0, "m": 1, "n": 0}], "perturbations": [{}]},
+    {"modes": [{"a": 1.0, "m": 1, "n": 0, "theta": None}]},
+    {"modes": [{"a": float("inf"), "m": 1, "n": 0}]},
+], ids=["no-modes", "list", "no-amplitude", "empty-perturbation",
+        "null-phase", "infinite-amplitude"])
+def test_malformed_definition_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        MorseField.from_dict(bad)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from neumann_domains import flow, integrate_flow, trace_all_neumann_lines
+from neumann_domains import (flow, integrate_flow, torus,
+                             trace_all_neumann_lines)
 from neumann_domains.critical import MAX, MIN, SADDLE, find_critical_points
 from neumann_domains.errors import NoConvergence
 from neumann_domains.flow import BACKWARD, FORWARD
@@ -63,7 +64,6 @@ def test_separable_saddle_lines(separable, sep_points):
                                 - np.pi)),
                   np.max(np.abs(ln.samples[:, 1] - np.pi)))
         assert dev < 1e-6
-        assert not ln.ends_at_saddle
     # minima are reached along y = pi, maxima along x = 0
     for ln in lines:
         if sep_points[ln.end_index].kind == MIN:
@@ -104,8 +104,6 @@ def test_anisotropic_same_combinatorics(anisotropic):
 
 def test_lambda17_lines_end_at_extrema(l17_complex):
     for ln in l17_complex.lines:
-        assert ln.end_index is not None
-        assert not ln.ends_at_saddle
         kind = l17_complex.critical_points[ln.end_index].kind
         assert kind in (MIN, MAX)
         # arclength parametrization: uniform spacing up to the final sample
@@ -134,10 +132,33 @@ def test_capture_radius_halving(separable, sep_points, monkeypatch):
     assert np.max(np.abs(a.samples[:n] - b.samples[:n])) < 1e-7
 
 
-def test_budget_exhaustion(separable, sep_points, monkeypatch):
+@pytest.mark.parametrize("trace", [
+    lambda f, cps: integrate_flow(f, [1.0, 2.0], FORWARD, cps),
+    lambda f, cps: flow.flow_endpoints(f, [[1.0, 2.0]], [FORWARD], cps),
+    lambda f, cps: trace_all_neumann_lines(
+        f, [c for c in cps if c.kind == SADDLE], cps),
+], ids=["integrate_flow", "flow_endpoints", "trace_all_neumann_lines"])
+def test_budget_exhaustion(separable, sep_points, monkeypatch, trace):
+    # an uncaptured trajectory is never returned: every tracer raises
     monkeypatch.setattr(flow, "MAX_LENGTH", 0.05)
     with pytest.raises(NoConvergence):
-        integrate_flow(separable, [1.0, 2.0], FORWARD, sep_points)
+        trace(separable, sep_points)
+
+
+@pytest.mark.parametrize("name", ["sep_complex", "aniso_complex",
+                                  "l17_complex", "generic_complex",
+                                  "crack_report"])
+def test_every_line_ends_at_its_capture(request, name):
+    cx = request.getfixturevalue(name)
+    if name == "crack_report":
+        cx = cx.complex
+    for ln in cx.lines:
+        assert type(ln.end_index) is int
+        assert 0 <= ln.end_index < len(cx.critical_points)
+        assert np.all(np.isfinite(ln.end_tangent))
+        assert abs(np.linalg.norm(ln.end_tangent) - 1.0) <= 1e-12
+        end = cx.critical_points[ln.end_index].position
+        assert torus.dist(ln.samples[-1], end) <= 1e-9
 
 
 def test_symmetry_under_negation(separable, sep_points):
