@@ -13,7 +13,8 @@ from . import torus
 from .critical import MAX, MIN, SADDLE
 from .errors import (AmplitudeTooSmall, ConstructionFailed,
                      PatchContainsCriticalPoint, PatchTooLarge)
-from .fields import BUMP_PEAK, CrackPerturbation, MorseField
+from .fields import (BUMP_PEAK, CrackPerturbation, MorseField,
+                     _crack_params)
 
 LINEARITY_TOL = 0.05
 # critical points appear where alpha(x) * gamma(0) = -A, so the bump must
@@ -37,16 +38,9 @@ def build_crack_perturbation(field, center, scale, K):
     with the base gradient at ``center``.  Raises
     PatchContainsCriticalPoint / AmplitudeTooSmall / PatchTooLarge when the
     construction hypotheses fail, and ValueError unless ``center`` is two
-    finite numbers, ``scale`` is positive and ``K`` is finite.
+    finite numbers, ``scale`` is finite and positive and ``K`` is finite.
     """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (2,) or not np.isfinite(center).all():
-        raise ValueError(f"crack center {center.tolist()} must be two "
-                         "finite numbers")
-    if not scale > 0:
-        raise ValueError(f"crack scale {scale} must be positive")
-    if not np.isfinite(K):
-        raise ValueError(f"bump amplitude K = {K} must be finite")
+    center, scale, K, _, _ = _crack_params(center, scale, K)
     g0 = field.gradient(center)
     gn = np.linalg.norm(g0)
     e1 = g0 / gn

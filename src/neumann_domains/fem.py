@@ -51,19 +51,43 @@ def assemble_p1(mesh):
     return K, M
 
 
+class _Thin(spla.LinearOperator):
+    """A square operator whose matvec is a bare function, unchecked.
+
+    ``LinearOperator.matvec`` checks and reshapes every vector; eigsh calls
+    this one's instance ``matvec`` directly.  ``_matvec`` is there because
+    scipy warns about a subclass that defines neither it nor ``_matmat``.
+    """
+
+    def __init__(self, matvec, n):
+        super().__init__(np.float64, (n, n))
+        self.matvec = matvec
+
+    def _matvec(self, x):
+        return self.matvec(x)
+
+
 def neumann_spectrum(mesh, k, *, _matrices=None):
     """The k smallest Neumann eigenvalues and M-orthonormal eigenvectors.
 
     Shift-invert Lanczos about sigma = -0.1, below the zero eigenvalue.
+    The shifted matrix is factored as scipy's eigsh factors it (splu of the
+    CSC transpose of the symmetric CSR K - sigma*M, default options), and
+    ARPACK applies that factor and M through bare matvecs, so the result is
+    the plain ``eigsh(K, k, M=M, sigma=sigma, which="LM", v0=v0)`` one.
     """
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     n = K.shape[0]
     if not 0 < k < n / 2:
         raise ValueError(f"k = {k} must lie in (0, {n / 2:g}) for {n} "
                          "vertices")
+    sigma = -0.1
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs = spla.eigsh(K, k=k, M=M, sigma=-0.1, which="LM", v0=v0)
+        lu = spla.splu((K - sigma * M).T)
+        vals, vecs = spla.eigsh(K, k=k, M=_Thin(M.dot, n), sigma=sigma,
+                                which="LM", v0=v0,
+                                OPinv=_Thin(lu.solve, n))
     except Exception as exc:            # ARPACK or factorization failure
         raise SolverBreakdown(str(exc)) from exc
     order = np.argsort(vals)

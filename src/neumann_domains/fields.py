@@ -76,21 +76,48 @@ BUMP_ARGMAX = float((np.sqrt(6.0) - np.sqrt(2.0)) / 2.0)
 BUMP_PEAK = float(BUMP_ARGMAX * np.exp(-1.0 / (1.0 - BUMP_ARGMAX ** 2)))
 
 
+def _crack_params(center, scale, K, frame=((1.0, 0.0), (0.0, 1.0)), A=0.0):
+    """Checked perturbation parameters (center, scale, K, frame, A).
+
+    Raises ValueError unless ``center`` is two finite numbers, ``scale`` is
+    finite and positive, ``K`` is finite, ``frame`` is a finite 2x2 matrix
+    and ``A`` is finite.  The defaults of ``frame`` and ``A`` pass, for a
+    caller that derives them from the other three.
+    """
+    try:
+        center = np.asarray(center, dtype=float)
+        frame = np.asarray(frame, dtype=float)
+        scale, K, A = float(scale), float(K), float(A)
+    except TypeError as exc:
+        raise ValueError(f"malformed crack parameter: {exc}") from exc
+    if center.shape != (2,) or not np.isfinite(center).all():
+        raise ValueError(f"crack center {center.tolist()} must be two "
+                         "finite numbers")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"crack scale {scale} must be finite and positive")
+    if not np.isfinite(K):
+        raise ValueError(f"bump amplitude K = {K} must be finite")
+    if frame.shape != (2, 2) or not np.isfinite(frame).all():
+        raise ValueError(f"crack frame {frame.tolist()} must be a finite "
+                         "2x2 matrix")
+    if not np.isfinite(A):
+        raise ValueError(f"base slope A = {A} must be finite")
+    return center, scale, K, frame, A
+
+
 class CrackPerturbation:
     """One compactly supported perturbation term beta(xi) * gamma(eta).
 
     Local coordinates (xi, eta) in (-1,1)^2 are obtained by translating to
     ``center``, rotating into ``frame`` (first column along the base gradient
     at the center) and dividing by ``scale``.  ``A`` is the base-field slope
-    in local units, ``K`` the bump amplitude.
+    in local units, ``K`` the bump amplitude.  Raises ValueError when a
+    parameter is malformed (see ``_crack_params``).
     """
 
     def __init__(self, center, frame, scale, A, K):
-        self.center = np.asarray(center, dtype=float)
-        self.frame = np.asarray(frame, dtype=float)
-        self.scale = float(scale)
-        self.A = float(A)
-        self.K = float(K)
+        (self.center, self.scale, self.K, self.frame,
+         self.A) = _crack_params(center, scale, K, frame, A)
 
     def local_coords(self, pts):
         d = torus.delta(self.center, pts)

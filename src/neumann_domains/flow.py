@@ -133,9 +133,10 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         k = np.empty((7, len(idx), 2))
         k[0] = F[idx]
         for i in range(1, 7):
-            xi = x + hh * np.tensordot(_DP_A[i], k[:i], axes=(0, 0))
+            xi = x + hh * np.dot(_DP_A[i][None, :],
+                                 k[:i].reshape(i, -1)).reshape(-1, 2)
             k[i] = _rhs(field, xi, s)
-        err = hh * np.tensordot(_DP_E, k, axes=(0, 0))
+        err = hh * np.dot(_DP_E[None, :], k.reshape(7, -1)).reshape(-1, 2)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(xi))
         enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
 

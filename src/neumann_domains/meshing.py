@@ -11,6 +11,7 @@ together, which leaves the crack as a slit with duplicated vertices.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -239,22 +240,23 @@ def _resample_by_size(pts, size):
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     L = cum[-1]
 
+    xs, ys = np.ascontiguousarray(pts.T)
+
     def at(s):
-        return np.array([np.interp(s, cum, pts[:, 0]),
-                         np.interp(s, cum, pts[:, 1])])
+        return (float(np.interp(s, cum, xs)), float(np.interp(s, cum, ys)))
 
     arcs = [0.0]
     while True:
-        step = max(float(size(at(arcs[-1]))), 1e-9)
+        step = max(size(at(arcs[-1])), 1e-9)
         if L - arcs[-1] < 1.5 * step:
             break
         arcs.append(arcs[-1] + step)
     if len(arcs) > 1:
         tail = L - arcs[-2]
-        if tail < 2.4 * max(float(size(at(L))), 1e-9):
+        if tail < 2.4 * max(size(at(L)), 1e-9):
             arcs[-1] = arcs[-2] + 0.5 * tail   # split the final stretch evenly
-    out = np.column_stack([np.interp(arcs, cum, pts[:, 0]),
-                           np.interp(arcs, cum, pts[:, 1])])
+    out = np.column_stack([np.interp(arcs, cum, xs),
+                           np.interp(arcs, cum, ys)])
     return np.vstack([out, pts[-1:]])
 
 
@@ -277,6 +279,13 @@ def _interior_points(polygon, boundary_pts, size):
     centers.  Without centers the size is h everywhere, so only the h and
     h/2 lattices (both over the bounding box) reach their band, and the
     descent stops there.
+
+    Within a level, a candidate clears the ones it is kept against by
+    0.72 times its own size, and the kept set is the greedy one that takes
+    the candidates in lexicographic (x, y) order, skipping any inside the
+    clearance ball of one already taken.  A candidate that is in no ball
+    but its own and whose ball holds no other is kept whatever the order,
+    so the greedy walks only the contested ones.
     """
     h, h_min, centers = size.h, size.h_min, size.centers
     lo = polygon.min(axis=0)
@@ -326,23 +335,45 @@ def _interior_points(polygon, boundary_pts, size):
             if len(cand):
                 # enforce mutual spacing within the batch (overlapping
                 # center boxes can even duplicate lattice points exactly)
-                order = np.lexsort((cand[:, 1], cand[:, 0]))
-                near = cKDTree(cand).query_ball_point(cand, 0.72 * sizes)
-                taken = np.zeros(len(cand), dtype=bool)
-                blocked = np.zeros(len(cand), dtype=bool)
-                for idx in order:
-                    if blocked[idx]:
-                        continue
-                    taken[idx] = True
-                    blocked[near[idx]] = True
-                for p in cand[taken]:
-                    accepted.append(p)
+                accepted.append(cand[_thin(cand, 0.72 * sizes)])
         if level_h <= h_min * 1.01:
             break
         level_h = max(level_h / 2.0, h_min)
         if size_floor >= 2.2 * level_h:
             break       # no size reaches this band or any finer one
-    return np.array(accepted) if accepted else np.empty((0, 2))
+    return np.vstack(accepted) if accepted else np.empty((0, 2))
+
+
+def _thin(cand, r):
+    """Mask of the candidates the lexicographic greedy keeps.
+
+    Candidate i blocks the others within distance r[i] of it.  Two
+    candidates clash when either lies in the other's ball; the pair search
+    and both tests carry a relative slack of 1e-9, which can only move a
+    candidate into the exact greedy pass, so the tree's rounding at a ball's
+    edge cannot change the kept set.
+    """
+    tree = cKDTree(cand)
+    slack = 1.0 + 1e-9
+    pairs = tree.query_pairs(r.max() * slack, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = np.linalg.norm(cand[i] - cand[j], axis=1)
+    clash = (d <= r[i] * slack) | (d <= r[j] * slack)
+    contested = np.unique(np.concatenate([i[clash], j[clash]]))
+    taken = np.ones(len(cand), dtype=bool)
+    if not len(contested):
+        return taken
+    taken[contested] = False
+    blocked = np.zeros(len(cand), dtype=bool)
+    sub = cand[contested]
+    near = tree.query_ball_point(sub, r[contested])
+    for k in np.lexsort((sub[:, 1], sub[:, 0])):
+        idx = contested[k]
+        if blocked[idx]:
+            continue
+        taken[idx] = True
+        blocked[near[k]] = True
+    return taken
 
 
 def _mesh_polygon(pieces, size):
@@ -383,10 +414,10 @@ def _mesh_polygon(pieces, size):
         return simplices[_point_in_polygon(cent, polygon)]
 
     simplices = triangulate(allpts)
+    bad = _bad_triangles(allpts, simplices, size.centers)
     # quality repair: flat caps along nearly straight boundary stretches get
     # their circumcenters inserted, which is where Delaunay wants a point
     for _ in range(12):
-        bad = _bad_triangles(allpts, simplices, size.centers)
         if not len(bad):
             break
         new_pts = []
@@ -403,13 +434,13 @@ def _mesh_polygon(pieces, size):
             nrm /= np.linalg.norm(nrm)
             if np.dot(nrm, c - mid) < 0:
                 nrm = -nrm
-            s_mid = float(size(mid))
+            s_mid = size((mid[0], mid[1]))
             off = mid + 0.55 * s_mid * nrm
             cand = [p for p in (_circumcenter(tri_pts), off,
                                 tri_pts.mean(axis=0))
                     if _point_in_polygon(p[None, :], polygon)[0]]
             for p in cand:
-                s = float(size(p))
+                s = size((p[0], p[1]))
                 near_b = np.min(np.linalg.norm(boundary - p, axis=1))
                 if near_b < 0.25 * s:
                     continue
@@ -422,6 +453,7 @@ def _mesh_polygon(pieces, size):
             break
         allpts = np.vstack([allpts, new_pts])
         simplices = triangulate(allpts)
+        bad = _bad_triangles(allpts, simplices, size.centers)
 
     # conformity: every segment of the boundary loop must appear as an edge
     n = len(allpts)
@@ -430,6 +462,10 @@ def _mesh_polygon(pieces, size):
     if missing.any():
         raise MeshQualityFailure(
             f"{missing.sum()} boundary segments lost in triangulation")
+    if len(bad):
+        raise MeshQualityFailure(
+            f"{len(bad)} triangles under {MIN_ANGLE_DEG} deg min angle "
+            "away from cusp neighbourhoods")
 
     boundary_edges = []
     for s0, s1, marker in piece_slices:
@@ -485,26 +521,29 @@ def _bad_triangles(verts, simplices, quality_centers):
     return np.flatnonzero(bad)
 
 
-def _quality_check(verts, tris, quality_centers):
-    bad = _bad_triangles(verts, tris, quality_centers)
-    if len(bad):
-        raise MeshQualityFailure(
-            f"{len(bad)} triangles under {MIN_ANGLE_DEG} deg min angle "
-            "away from cusp neighbourhoods")
-
-
 def _make_size_fn(h, grading, centers):
     """The size field, which carries the whole mesh policy.
 
     The size is h away from the centers (cusps, crack junctions) and
     grading * distance near them, down to h_min = h / H_MIN_FACTOR; the
     centers' neighbourhoods are also exempt from the angle gate.  The
-    returned callable exposes h, h_min, grading and centers.
+    returned callable exposes h, h_min, grading and centers.  It takes an
+    array of points, or one point as a tuple (x, y) for a float; the tuple
+    path does the array path's operations in the same order, so the two
+    agree to the bit.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     h_min = h / H_MIN_FACTOR
+    center_xy = [(float(cx), float(cy)) for cx, cy in centers]
 
     def size(p):
+        if isinstance(p, tuple):
+            if not center_xy:
+                return h
+            x, y = p
+            d = min(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
+                    for cx, cy in center_xy)
+            return min(max(grading * d, h_min), h)
         p = np.asarray(p, dtype=float)
         if len(centers) == 0:
             if p.ndim == 1:
@@ -544,7 +583,6 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
         size = _make_size_fn(h, grading, _lifted_cusp_points(domain))
     pieces = [(_resample_by_size(p, size), m) for p, m in pieces]
     verts, tris, bedges, _ = _mesh_polygon(pieces, size)
-    _quality_check(verts, tris, size.centers)
     return TriMesh(verts, tris, bedges, h, grading, t)
 
 
@@ -631,7 +669,6 @@ def _mesh_cracked(field, domain, h, grading, t, cps):
     mesh = TriMesh(verts, tris, bedges, h, grading, t)
     if not mesh.is_disk():
         raise MeshQualityFailure("glued crack mesh is not a disk")
-    _quality_check(verts, tris, size.centers)
     return mesh
 
 

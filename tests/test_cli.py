@@ -156,6 +156,17 @@ def test_exit_codes(tmp_path, monkeypatch):
         path.write_text(json.dumps(bad))
         assert main(["crit", "--field", str(path),
                      "--out", str(tmp_path / "o")]) == 2, bad
+    # crack perturbations need a centre of two finite numbers and a
+    # positive scale
+    patch = {"center": [1.0, 1.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
+             "scale": 0.3, "A": 0.3, "K": 12.0}
+    for i, change in enumerate(({"center": None}, {"scale": 0},
+                                {"scale": -0.3})):
+        path = tmp_path / f"bad_patch{i}.json"
+        path.write_text(json.dumps({"modes": two_modes,
+                                    "perturbations": [{**patch, **change}]}))
+        assert main(["crit", "--field", str(path),
+                     "--out", str(tmp_path / "o")]) == 2, change
     # 3: numerical failure (spectrum does not extend past lam)
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",

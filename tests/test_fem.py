@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 import neumann_domains.fem as fem
 from neumann_domains import (MorseField, assemble_p1, mesh_domain,
@@ -214,3 +217,49 @@ def test_report_count_checked_by_inertia(separable, monkeypatch):
     _dropping(monkeypatch, 3)
     with pytest.raises(AmbiguousCluster):
         domain_spectrum_report(separable, mesh, lam, 9)
+
+
+def _spectrum_cases(separable, sep_complex, lambda17, l17_complex):
+    cusped = next(f for f in l17_complex.faces
+                  if any(c["confirmed"] for c in f.cusps))
+    return {
+        "lambda17_cusped": (lambda17, mesh_domain(
+            lambda17, cusped, 0.04,
+            critical_points=l17_complex.critical_points), 17.0, 10),
+        "separable": (separable, mesh_domain(
+            separable, sep_complex.faces[0], np.pi / 32,
+            critical_points=sep_complex.critical_points), 1.0, 6),
+    }
+
+
+def test_spectrum_matches_plain_eigsh(separable, sep_complex, lambda17,
+                                      l17_complex):
+    cases = _spectrum_cases(separable, sep_complex, lambda17, l17_complex)
+    for name, (_, mesh, _, k) in cases.items():
+        mu, vecs = neumann_spectrum(mesh, k)
+        K, M = assemble_p1(mesh)
+        n = K.shape[0]
+        vals, ref = spla.eigsh(K, k, M=M, sigma=-0.1, which="LM",
+                               v0=np.full(n, 1.0 / np.sqrt(n)))
+        order = np.argsort(vals)
+        assert mu.tobytes() == vals[order].tobytes(), name
+        assert vecs.tobytes() == ref[:, order].tobytes(), name
+
+
+# sha256 of domain_spectrum_report(...).to_json(), recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1
+REPORT_SHA256 = {
+    "lambda17_cusped": "295b3a3010d208813b470aaf410dc934"
+                       "7630fd00cc88b41586f2fc31c8574778",
+    "separable": "cbc30bbebae3bdaf87422c95491cf4e0"
+                 "551bd151ad84961542932965aa148d8a",
+}
+
+
+def test_spectrum_report_digests_unchanged(separable, sep_complex, lambda17,
+                                           l17_complex):
+    cases = _spectrum_cases(separable, sep_complex, lambda17, l17_complex)
+    for name, (field, mesh, lam, k) in cases.items():
+        rep = domain_spectrum_report(field, mesh, lam, k)
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        assert digest == REPORT_SHA256[name], name

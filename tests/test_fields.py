@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from neumann_domains import MorseField
+from neumann_domains import MorseField, build_crack_perturbation
 from neumann_domains.errors import NotAnEigenfunctionField
-from neumann_domains.fields import (BUMP_PEAK, bump_alpha, bump_beta,
-                                    bump_gamma)
+from neumann_domains.fields import (BUMP_PEAK, CrackPerturbation,
+                                    bump_alpha, bump_beta, bump_gamma)
 
 
 def test_separable_values(separable):
@@ -107,3 +107,31 @@ def test_negation(lambda17):
 def test_malformed_definition_raises_value_error(bad):
     with pytest.raises(ValueError):
         MorseField.from_dict(bad)
+
+
+PATCH = {"center": [1.0, 2.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
+         "scale": 0.3, "A": 0.3, "K": 12.0}
+
+
+@pytest.mark.parametrize("change", [
+    {"center": None}, {"center": [1.0, np.nan]}, {"center": [1.0, 2.0, 3.0]},
+    {"frame": None}, {"frame": np.eye(3)}, {"frame": [[1.0, np.inf],
+                                                     [0.0, 1.0]]},
+    {"scale": 0.0}, {"scale": -0.3}, {"scale": np.inf}, {"scale": np.nan},
+    {"A": np.nan}, {"K": np.inf}, {"K": None},
+], ids=["null-center", "nan-center", "three-centers", "null-frame",
+        "3x3-frame", "infinite-frame", "zero-scale", "negative-scale",
+        "infinite-scale", "nan-scale", "nan-A", "infinite-K", "null-K"])
+def test_malformed_crack_patch_raises_value_error(separable, change):
+    CrackPerturbation(**PATCH)
+    with pytest.raises(ValueError):
+        CrackPerturbation(**{**PATCH, **change})
+    modes = separable.to_dict()["modes"]
+    with pytest.raises(ValueError):
+        MorseField.from_dict({"modes": modes,
+                              "perturbations": [{**PATCH, **change}]})
+    if set(change) <= {"center", "scale", "K"}:
+        args = {**PATCH, **change}
+        with pytest.raises(ValueError):
+            build_crack_perturbation(separable, args["center"],
+                                     args["scale"], args["K"])

@@ -5,11 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import neumann_domains.meshing as meshing
 from neumann_domains import (cusp_length_decay, mesh_domain,
                              structured_rect_mesh, truncate_domain)
 from neumann_domains.errors import (ExceptionalLevel, MeshQualityFailure,
                                     SelfIntersectingBoundary)
-from neumann_domains.meshing import _make_size_fn, _mesh_polygon
+from neumann_domains.meshing import (_interior_points, _lifted_cusp_points,
+                                     _make_size_fn, _mesh_polygon,
+                                     _resample_by_size)
 
 
 def test_square_mesh_counts(separable, sep_complex):
@@ -277,3 +280,79 @@ def test_mesh_digests_unchanged(separable, sep_complex, lambda17,
         digest = hashlib.sha256(mesh.vertices.tobytes()
                                 + mesh.triangles.tobytes()).hexdigest()
         assert digest == MESH_SHA256[name], name
+
+
+def test_size_scalar_path_matches_array_path(l17_complex):
+    rng = np.random.default_rng(11)
+    cusped = next(f for f in l17_complex.faces
+                  if any(c["confirmed"] for c in f.cusps))
+    centers = np.array(_lifted_cusp_points(cusped))
+    pts = np.vstack([rng.uniform(-1.0, 7.0, size=(500, 2)), centers,
+                     centers + rng.normal(scale=1e-3, size=centers.shape)])
+    for size in (_make_size_fn(0.04, 0.5, centers),
+                 _make_size_fn(0.3, 0.5, centers[:1]),
+                 _make_size_fn(0.3, 0.5, np.empty((0, 2)))):
+        array = size(pts)
+        scalar = np.array([size((x, y)) for x, y in pts])
+        assert array.tobytes() == scalar.tobytes()
+        assert all(isinstance(size((x, y)), float) for x, y in pts[:3])
+    size = _make_size_fn(0.04, 0.5, centers)
+    for c in centers:
+        assert size((c[0], c[1])) == size.h_min == size(c[None, :])[0]
+
+
+def _reference_thin(cand, r):
+    """The lexicographic greedy over every candidate, one by one."""
+    near = meshing.cKDTree(cand).query_ball_point(cand, r)
+    taken = np.zeros(len(cand), dtype=bool)
+    blocked = np.zeros(len(cand), dtype=bool)
+    for idx in np.lexsort((cand[:, 1], cand[:, 0])):
+        if not blocked[idx]:
+            taken[idx] = True
+            blocked[near[idx]] = True
+    return taken
+
+
+def _face_polygon(face, size):
+    """Boundary and closed polygon of a face as mesh_domain samples them."""
+    boundary = np.vstack([_resample_by_size(p, size)[:-1]
+                          for p in face.pieces])
+    return np.vstack([boundary, boundary[:1]]), boundary
+
+
+def _constant_size(value, h):
+    def size(p):
+        return np.full(len(p), value)
+    size.h, size.h_min, size.grading = h, h / 64, 0.5
+    size.centers = np.empty((0, 2))
+    return size
+
+
+def test_interior_points_match_reference_greedy(sep_complex, l17_complex,
+                                                monkeypatch):
+    cusped = next(f for f in l17_complex.faces
+                  if any(c["confirmed"] for c in f.cusps))
+    cases = []
+    for face, size in ((cusped, _make_size_fn(0.04, 0.5,
+                                              _lifted_cusp_points(cusped))),
+                       (sep_complex.faces[0],
+                        _make_size_fn(np.pi / 32, 0.5, np.empty((0, 2))))):
+        cases.append((*_face_polygon(face, size), size))
+    # lattice spacing 1/4 and clearance 0.72 * size = 1/4 exactly: every
+    # x-neighbour sits on the edge of the other's clearance ball
+    side = np.linspace(0.0, 4.0, 65)[:-1]
+    zeros = np.zeros_like(side)
+    square = np.vstack([np.column_stack([side, zeros]),
+                        np.column_stack([4.0 + zeros, side]),
+                        np.column_stack([4.0 - side, 4.0 + zeros]),
+                        np.column_stack([zeros, 4.0 - side])])
+    size = _constant_size(np.nextafter(0.25 / 0.72, 1.0), 0.25)
+    assert 0.72 * size(square)[0] == 0.25
+    cases.append((np.vstack([square, square[:1]]), square, size))
+
+    fast = [_interior_points(*case) for case in cases]
+    monkeypatch.setattr(meshing, "_thin", _reference_thin)
+    for case, got in zip(cases, fast):
+        want = _interior_points(*case)
+        assert len(want) > 20
+        assert got.tobytes() == want.tobytes()
