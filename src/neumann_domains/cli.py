@@ -269,6 +269,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(build_parser(), argv)
+        # the range the census enforces too, checked before a field loads
+        if args.seed_grid < 8:
+            raise ValueError(f"--seed-grid {args.seed_grid} must be at "
+                             "least 8")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -105,6 +105,19 @@ def _crack_params(center, scale, K, frame=((1.0, 0.0), (0.0, 1.0)), A=0.0):
     return center, scale, K, frame, A
 
 
+def _in_support(c):
+    """Mask of |c| < 1 and the coordinates there, or None when there are none.
+
+    A single point's coordinate comes back as a numpy scalar, as the bump
+    functions see it: a scalar's ``** 2`` is ``pow``, an array's a product,
+    and the two can differ in the last bit.
+    """
+    on = np.abs(c) < 1.0
+    if not on.any():
+        return on, None
+    return on, (c[on] if c.ndim else c[()])
+
+
 class CrackPerturbation:
     """One compactly supported perturbation term beta(xi) * gamma(eta).
 
@@ -113,6 +126,12 @@ class CrackPerturbation:
     at the center) and dividing by ``scale``.  ``A`` is the base-field slope
     in local units, ``K`` the bump amplitude.  Raises ValueError when a
     parameter is malformed (see ``_crack_params``).
+
+    ``gradient`` evaluates the exponentials (and Ei) of each local
+    coordinate only on the points where that coordinate lies in (-1, 1),
+    with the operations of ``bump_alpha``, ``bump_beta`` and ``bump_gamma``
+    in their order, so it returns the same bits as their composition,
+    signed zeros included.
     """
 
     def __init__(self, center, frame, scale, A, K):
@@ -128,11 +147,28 @@ class CrackPerturbation:
         return bump_beta(loc[..., 0], self.K) * bump_gamma(loc[..., 1])
 
     def gradient(self, pts):
+        # bump_alpha(xi) * bump_gamma(eta) and bump_beta(xi) *
+        # bump_gamma(eta, 1); each coordinate's exp serves both its factors
         loc = self.local_coords(pts)
         xi, eta = loc[..., 0], loc[..., 1]
-        du = bump_alpha(xi, self.K) * bump_gamma(eta)
-        dv = bump_beta(xi, self.K) * bump_gamma(eta, 1)
-        grad_loc = np.stack([du, dv], axis=-1) / self.scale
+        parts = np.zeros((4,) + xi.shape)
+        g_xi, beta, g_eta, dg_eta = (parts[i, ...] for i in range(4))
+        on, x = _in_support(xi)
+        if x is not None:
+            s = 1.0 - x * x
+            e = np.exp(-1.0 / s)
+            g_xi[on] = e
+            beta[on] = 0.5 * self.K * (s * e + expi(-1.0 / s))
+        on, y = _in_support(eta)
+        if y is not None:
+            s = 1.0 - y * y
+            e = np.exp(-1.0 / s)
+            g_eta[on] = e
+            dg_eta[on] = e * (-2.0 * y / s ** 2)
+        grad_loc = np.empty(loc.shape)
+        np.multiply(-self.K * xi * g_xi, g_eta, out=grad_loc[..., 0])
+        np.multiply(beta, dg_eta, out=grad_loc[..., 1])
+        grad_loc /= self.scale
         return grad_loc @ self.frame.T
 
     def hessian(self, pts):

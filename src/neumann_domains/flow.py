@@ -5,7 +5,12 @@ with an embedded Dormand-Prince 5(4) scheme, batched over many start points.
 The scheme is first same as last: the seventh stage is evaluated at the
 accepted point, so its slope is the next step's first.  A trajectory ends when
 it enters the capture ball of a critical point that attracts its flow
-direction; the endpoint is then completed exactly to the critical point along
+direction.  Each census point has one capture radius per direction: the
+saddle radius for a saddle, the extremum radius for an extremum of the
+attracting kind, none otherwise.  After each accepted step a periodic kd-tree
+of the census keeps the trajectories within twice the larger radius of some
+point, and exact torus distances for those alone pick the nearest eligible
+point.  The endpoint is then completed exactly to the critical point along
 the current chord.  Each trajectory's chain of accepted states and slopes is
 densified by cubic Hermite interpolation and resampled to uniform arclength,
 giving one ``FlowLine``.  The integration and stopping parameters are the
@@ -17,6 +22,7 @@ import numpy as np
 from . import torus
 from .critical import MIN, MAX, SADDLE
 from .errors import NoConvergence, SteppedOutOfTolerance
+from .geometry import _in_box, _tree
 
 # integrator tolerances; tight tolerances keep cusp tangencies resolved
 RTOL = 1e-10
@@ -38,18 +44,19 @@ FAST_AXIS_RADIUS = 2e-3    # chord radius for lines arriving along the fast axis
 
 FORWARD, BACKWARD = "forward", "backward"
 
-# Dormand-Prince 5(4) tableau; the last row of _DP_A is the fifth-order weights
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# Dormand-Prince 5(4) tableau as 1 x i rows for np.dot; the last row of
+# _DP_A is the fifth-order weights
+_DP_A = [np.array(row)[None, :] for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+                  -17253 / 339200, 22 / 525, -1 / 40])[None, :]
 
 
 def _point_at_radius(pts, r):
@@ -90,15 +97,42 @@ def _rhs(field, x, sgn):
     return sgn[:, None] * field.gradient(x)
 
 
+def _row_norm(v):
+    """Euclidean norm of each row of an (N, 2) array, as np.linalg.norm."""
+    v = v * v
+    return np.sqrt(v[:, 0] + v[:, 1])
+
+
+def _capture_radii(critical_points):
+    """Capture radius of each census point per flow direction.
+
+    Row 0 is the forward flow, captured by minima, row 1 the backward flow,
+    captured by maxima; saddles capture both.  A point that fails the
+    gradient gate, or an extremum of the other kind, gets -1: never.
+    """
+    radii = np.full((2, len(critical_points)), -1.0)
+    for j, c in enumerate(critical_points):
+        if not c.grad_norm <= GRAD_GATE:
+            continue
+        if c.kind == SADDLE:
+            radii[:, j] = SADDLE_CAPTURE_RADIUS
+        elif c.kind == MIN:
+            radii[0, j] = CAPTURE_RADIUS
+        elif c.kind == MAX:
+            radii[1, j] = CAPTURE_RADIUS
+    return radii
+
+
 def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
-                     record=True):
+                     record=True, grad0=None):
     """Advance a batch of trajectories to capture.
 
     Returns (captured, chains).  ``captured`` holds the census index each
     trajectory ended at.  With ``record``, ``chains[j]`` is trajectory j's
     accepted states and slopes, start included, and its step sizes, as arrays
     (xs, fs, dts); otherwise ``chains`` is None.  Capture is tested only after
-    an accepted step, so every chain has at least one step.
+    an accepted step, so every chain has at least one step.  ``grad0`` is
+    ``field.gradient`` at ``x0`` when the caller has it already.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B = len(x0)
@@ -107,14 +141,14 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         start_exclude = np.full(B, -1, dtype=int)
 
     crit_xy = np.array([c.position for c in critical_points])
-    kinds = np.array([c.kind for c in critical_points])
-    good = np.array([c.grad_norm <= GRAD_GATE for c in critical_points])
-    is_saddle = kinds == SADDLE
-    # which extremum kind attracts each flow direction
-    attract_kind = np.where(sgn < 0, MIN, MAX)
+    radii = _capture_radii(critical_points)
+    direction = np.where(sgn < 0, 0, 1)
+    # rows farther than this from every census point cannot be captured
+    tree = _tree(crit_xy, periodic=True)
+    reach = 2.0 * max(CAPTURE_RADIUS, SADDLE_CAPTURE_RADIUS)
 
     X = x0.copy()
-    F = _rhs(field, X, sgn)
+    F = sgn[:, None] * (field.gradient(X) if grad0 is None else grad0)
     t = np.zeros(B)
     h = np.full(B, 1e-3)
     arc = np.zeros(B)
@@ -124,47 +158,52 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
     # (owner, x, f, dt of the step ending at x) per accepted batch
     chain = [(np.arange(B), x0, F.copy(), np.zeros(B))]
 
+    idx = np.arange(B)
     n_stalled = 0
-    while active.any():
-        idx = np.flatnonzero(active)
+    while len(idx):
         x = X[idx]
         hh = h[idx][:, None]
         s = sgn[idx]
         k = np.empty((7, len(idx), 2))
         k[0] = F[idx]
         for i in range(1, 7):
-            xi = x + hh * np.dot(_DP_A[i][None, :],
-                                 k[:i].reshape(i, -1)).reshape(-1, 2)
+            xi = x + hh * np.dot(_DP_A[i], k[:i].reshape(i, -1)).reshape(-1, 2)
             k[i] = _rhs(field, xi, s)
-        err = hh * np.dot(_DP_E[None, :], k.reshape(7, -1)).reshape(-1, 2)
+        err = hh * np.dot(_DP_E, k.reshape(7, -1)).reshape(-1, 2)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(xi))
-        enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
+        r = err / scale
+        r *= r
+        enorm = np.sqrt((r[:, 0] + r[:, 1]) / 2)   # np.mean's sum and divide
 
         accept = enorm <= 1.0
-        with np.errstate(divide="ignore"):
-            fac = np.where(enorm > 0.0, 0.9 * enorm ** -0.2, 5.0)
+        fac = 0.9 * np.power(enorm, -0.2, out=np.full(len(idx), np.inf),
+                             where=enorm > 0.0)
         fac = np.clip(fac, 0.2, 5.0)
         # bound the chord so recorded steps stay densifiable
-        speed = np.linalg.norm(k[0], axis=1)
+        speed = _row_norm(k[0])
         h_arc = np.where(speed > 0.0, MAX_STEP_ARC / speed, np.inf)
-        h[idx] = np.minimum(h[idx] * fac, h_arc)
-        if np.any(h[idx] < 1e-14):
+        h_new = np.minimum(hh[:, 0] * fac, h_arc)
+        h[idx] = h_new
+        if (h_new < 1e-14).any():
             raise SteppedOutOfTolerance("step size underflow in flow integration")
-        n_stalled = 0 if accept.any() else n_stalled + 1
-        if n_stalled > 200:
-            raise SteppedOutOfTolerance("integrator failed to accept a step")
         if not accept.any():
+            n_stalled += 1
+            if n_stalled > 200:
+                raise SteppedOutOfTolerance(
+                    "integrator failed to accept a step")
             continue
+        n_stalled = 0
 
         acc = idx[accept]      # a rejected row keeps its state and slope
         xa = xi[accept]
         dta = hh[accept, 0]
-        arc[acc] += np.linalg.norm(xa - x[accept], axis=1)
+        fa = k[6][accept]
+        arc[acc] += _row_norm(xa - x[accept])
         t[acc] += dta
         X[acc] = xa
-        F[acc] = k[6][accept]
+        F[acc] = fa
         if record:
-            chain.append((acc, xa, F[acc], dta))
+            chain.append((acc, xa, fa, dta))
 
         # arm once clear of the start critical point
         need_arm = acc[~armed[acc]]
@@ -172,19 +211,21 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
             d0 = torus.dist(X[need_arm], crit_xy[start_exclude[need_arm]])
             armed[need_arm[d0 > 2.0 * CAPTURE_RADIUS]] = True
 
-        # capture test
+        # capture test: the tree keeps the rows near a census point, and the
+        # exact distances pick the nearest eligible point for those
         chk = acc[armed[acc]]
         if len(chk):
+            d_near, _ = tree.query(_in_box(X[chk]), distance_upper_bound=reach)
+            chk = chk[np.isfinite(d_near)]
+        if len(chk):
             d = torus.pairwise_dist(X[chk], crit_xy)
-            elig = good[None, :] & (
-                (is_saddle[None, :] & (d < SADDLE_CAPTURE_RADIUS))
-                | (~is_saddle[None, :] & (kinds[None, :] == attract_kind[chk][:, None])
-                   & (d < CAPTURE_RADIUS)))
-            d_masked = np.where(elig, d, np.inf)
+            d_masked = np.where(d < radii[direction[chk]], d, np.inf)
             nearest = np.argmin(d_masked, axis=1)
             hit = np.isfinite(d_masked[np.arange(len(chk)), nearest])
-            captured[chk[hit]] = nearest[hit]
-            active[chk[hit]] = False
+            if hit.any():
+                captured[chk[hit]] = nearest[hit]
+                active[chk[hit]] = False
+                idx = np.flatnonzero(active)
 
         over = acc[(t[acc] > MAX_TIME) | (arc[acc] > MAX_LENGTH)]
         if len(over):
@@ -308,12 +349,13 @@ def integrate_flow(field, x0, direction, critical_points):
     NoConvergence when the arclength/time budget is exhausted and
     SteppedOutOfTolerance when error control fails.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(field.gradient(x0)) <= GRAD_GATE:
+    x0 = np.asarray(x0, dtype=float)[None, :]
+    g0 = field.gradient(x0)
+    if np.linalg.norm(g0[0]) <= GRAD_GATE:
         raise ValueError("start point is (numerically) critical")
     sgn = -1.0 if direction == FORWARD else 1.0
-    captured, chains = _integrate_batch(field, x0[None, :], [sgn],
-                                        critical_points)
+    captured, chains = _integrate_batch(field, x0, [sgn], critical_points,
+                                        grad0=g0)
     return _finish_line(chains[0], captured[0], critical_points, direction,
                         None)
 

@@ -56,12 +56,17 @@ def chords(lines, stride):
             np.concatenate(p0), np.concatenate(p1))
 
 
+def _in_box(pts):
+    """Points wrapped into [0, 2*pi), as a periodic cKDTree takes them."""
+    pts = torus.wrap(pts)
+    pts[pts >= torus.PERIOD] = 0.0      # np.mod(-tiny, P) rounds up to P
+    return pts
+
+
 def _tree(mid, periodic):
     if not periodic:
         return cKDTree(mid)
-    mid = torus.wrap(mid)
-    mid[mid >= torus.PERIOD] = 0.0      # np.mod(-tiny, P) rounds up to P
-    return cKDTree(mid, boxsize=torus.PERIOD)
+    return cKDTree(_in_box(mid), boxsize=torus.PERIOD)
 
 
 def candidate_pairs(a0, a1, b0=None, b1=None, periodic=True):

@@ -24,6 +24,31 @@ def hausdorff_torus(a, b):
     return max(float(np.max(d_ab)), float(np.max(d_ba)))
 
 
+def attachment_samples(cx, rng):
+    """Five random interior points per face, clear of its boundary.
+
+    Returns (points wrapped to the fundamental domain, owning face of each).
+    """
+    samples = []
+    owners = []
+    for face in cx.faces:
+        lo, hi = face.polygon.min(axis=0), face.polygon.max(axis=0)
+        clearance = 0.02
+        got = 0
+        for _ in range(4000):
+            if got == 5:
+                break
+            p = rng.uniform(lo, hi)
+            if _point_in_polygon(p[None, :], face.polygon)[0]:
+                d = np.min(np.linalg.norm(face.polygon - p, axis=1))
+                if d > clearance:
+                    samples.append(p)
+                    owners.append(face)
+                    got += 1
+            clearance *= 0.999   # thin faces need smaller clearance
+    return torus.wrap(np.array(samples)), owners
+
+
 def run_invariants(field, seed_grid=24, rng_seed=7):
     """Run the invariant suite on one field.
 
@@ -82,32 +107,14 @@ def run_invariants(field, seed_grid=24, rng_seed=7):
     # face-extremum attachment independent of the interior samples: five
     # random interior points per face, flowed both ways in one batch
     from .flow import BACKWARD, FORWARD, flow_endpoints
-    samples = []
-    owners = []
-    for face in cx.faces:
-        lo, hi = face.polygon.min(axis=0), face.polygon.max(axis=0)
-        clearance = 0.02
-        got = 0
-        for _ in range(4000):
-            if got == 5:
-                break
-            p = rng.uniform(lo, hi)
-            if _point_in_polygon(p[None, :], face.polygon)[0]:
-                d = np.min(np.linalg.norm(face.polygon - p, axis=1))
-                if d > clearance:
-                    samples.append(p)
-                    owners.append(face)
-                    got += 1
-            clearance *= 0.999   # thin faces need smaller clearance
-    pts = torus.wrap(np.array(samples))
-    mins = flow_endpoints(field, pts, [FORWARD] * len(pts),
-                          cx.critical_points)
-    maxs = flow_endpoints(field, pts, [BACKWARD] * len(pts),
-                          cx.critical_points)
-    bad = sum(1 for face, mn, mx in zip(owners, mins, maxs)
+    pts, owners = attachment_samples(cx, rng)
+    n = len(pts)
+    ends = flow_endpoints(field, np.vstack([pts, pts]),
+                          [FORWARD] * n + [BACKWARD] * n, cx.critical_points)
+    bad = sum(1 for face, mn, mx in zip(owners, ends[:n], ends[n:])
               if mn != face.min_index or mx != face.max_index)
     results.append(("face_attachment_stable", bad == 0,
-                    f"{len(pts)} samples over {len(cx.faces)} faces, "
+                    f"{n} samples over {len(cx.faces)} faces, "
                     f"{bad} mismatches"))
 
     # deterministic export

@@ -205,6 +205,20 @@ def test_exit_codes(tmp_path, monkeypatch):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"mesh-h": 0.0}))
     assert main(["position", "--config", str(conf), *quick]) == 2
+    # a seed grid below 8 is rejected for every subcommand before a field
+    # loads
+    def no_load(*args, **kwargs):
+        raise AssertionError("a field loaded for a bad --seed-grid")
+
+    monkeypatch.setattr(cli, "_load_field", no_load)
+    monkeypatch.setattr(cli, "load_bundled", no_load)
+    out = ["--out", str(tmp_path / "o")]
+    for command in ("crit", "complex", "spectrum", "position", "crack"):
+        assert main([command, "--field", "separable", "--seed-grid", "7",
+                     *out]) == 2, command
+    assert main(["verify", "--seed-grid", "0", *out]) == 2
+    assert main(["verify", "--field", "separable", "--seed-grid", "-8",
+                 *out]) == 2
 
 
 def test_verify_single_field(tmp_path):

@@ -74,6 +74,60 @@ def test_bump_support_and_smoothness():
     assert np.max(m) == pytest.approx(BUMP_PEAK, rel=1e-6)
 
 
+
+def _reference_crack_gradient(pert, pts):
+    # the plain composition of the bump functions
+    loc = pert.local_coords(pts)
+    xi, eta = loc[..., 0], loc[..., 1]
+    du = bump_alpha(xi, pert.K) * bump_gamma(eta)
+    dv = bump_beta(xi, pert.K) * bump_gamma(eta, 1)
+    return (np.stack([du, dv], axis=-1) / pert.scale) @ pert.frame.T
+
+
+def test_crack_gradient_matches_bump_composition(crack_field):
+    # bit for bit, signed zeros included: on random batches around the
+    # patch, single points, a grid, exact support edges and zeros, and
+    # batches with no row inside the support
+    rng = np.random.default_rng(11)
+    base = crack_field.perturbations[0]
+    edge = np.array([-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 0.0), 0.5])
+    no_support = 0
+    for trial in range(300):
+        th = rng.uniform(0, 2 * np.pi)
+        c, s = np.cos(th), np.sin(th)
+        K = (12.0, -12.0, 0.0, -0.0, rng.normal())[trial % 5]
+        pert = CrackPerturbation(base.center + rng.uniform(-1, 1, 2),
+                                 [[c, -s], [s, c]], rng.uniform(0.1, 0.6),
+                                 base.A, K)
+        n = int(rng.integers(1, 20))
+        if trial % 3 == 0:
+            loc = rng.choice(edge, size=(n, 2))
+            pts = pert.center + (loc * pert.scale) @ pert.frame.T
+        else:
+            spread = rng.choice((0.5, 2.0, 8.0))
+            pts = pert.center + rng.normal(size=(n, 2)) * pert.scale * spread
+        loc = pert.local_coords(pts)
+        no_support += not (np.abs(loc) < 1.0).all(axis=-1).any()
+        for q in (pts, pts[0], pts.reshape(1, n, 2)):
+            got = pert.gradient(q)
+            want = _reference_crack_gradient(pert, q)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert no_support >= 20
+    # single points inside the support: numpy's scalar ** 2 is pow, which
+    # rounds differently from an array's product on about one point in a
+    # thousand
+    loc = rng.uniform(-1.0, 1.0, size=(4000, 2))
+    for p in base.center + (loc * base.scale) @ base.frame.T:
+        assert np.array_equal(base.gradient(p).view(np.uint64),
+                              _reference_crack_gradient(base, p)
+                              .view(np.uint64))
+    g = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+    assert np.array_equal(base.gradient(grid).view(np.uint64),
+                          _reference_crack_gradient(base, grid)
+                          .view(np.uint64))
+
 def test_json_round_trip(tmp_path, crack_field):
     p = tmp_path / "field.json"
     crack_field.to_json(p)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from neumann_domains import (flow, integrate_flow, torus,
 from neumann_domains.critical import MAX, MIN, SADDLE, find_critical_points
 from neumann_domains.errors import NoConvergence
 from neumann_domains.flow import BACKWARD, FORWARD
+from neumann_domains.validate import attachment_samples
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,11 @@ def test_each_flow_state_evaluated_once(separable, sep_points):
     assert len(rec.rows) > 8 * len(saddles)
     repeats = len(rec.rows) - len(set(map(tuple, rec.rows)))
     assert repeats == 0
+    # integrate_flow's criticality gate reuses the start slope
+    rec = _GradientRecorder(separable)
+    integrate_flow(rec, [1.0, 2.0], FORWARD, sep_points)
+    assert len(rec.rows) > 7
+    assert len(rec.rows) == len(set(map(tuple, rec.rows)))
 
 
 def test_anisotropic_same_combinatorics(anisotropic):
@@ -160,6 +168,46 @@ def test_every_line_ends_at_its_capture(request, name):
         end = cx.critical_points[ln.end_index].position
         assert torus.dist(ln.samples[-1], end) <= 1e-9
 
+
+# sha256 over every line's samples.tobytes() and end_tangent.tobytes(), in
+# line order, recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1;
+# the report digests pin only decimated samples, this pins every bit
+LINE_BITS_SHA256 = {
+    "separable": "ade0dbd04bcf655801b72d16bd954573"
+                 "741610893389bc9aa92c87febf32a72d",
+    "lambda17": "169ffe2531058e6c94220593c2005578"
+                "ebb80bf61d5f8427fff7c064cf8ae761",
+    "crack": "e7564aeada439d06f3e9a19aaf55263c"
+             "4fecae521e6d3ec54663ff6c6ee91b1f",
+}
+
+
+def test_line_bits_unchanged(sep_complex, l17_complex, crack_report):
+    for name, cx in (("separable", sep_complex), ("lambda17", l17_complex),
+                     ("crack", crack_report.complex)):
+        h = hashlib.sha256()
+        for ln in cx.lines:
+            h.update(ln.samples.tobytes())
+            h.update(ln.end_tangent.tobytes())
+        assert h.hexdigest() == LINE_BITS_SHA256[name], name
+
+
+@pytest.mark.parametrize("field_name, cx_name", [
+    ("separable", "sep_complex"), ("lambda17", "l17_complex")])
+def test_mixed_direction_endpoints(request, field_name, cx_name):
+    # one batch of both directions captures as two single-direction batches
+    field = request.getfixturevalue(field_name)
+    cx = request.getfixturevalue(cx_name)
+    pts, _ = attachment_samples(cx, np.random.default_rng(7))
+    n = len(pts)
+    cps = cx.critical_points
+    both = flow.flow_endpoints(field, np.vstack([pts, pts]),
+                               [FORWARD] * n + [BACKWARD] * n, cps)
+    fwd = flow.flow_endpoints(field, pts, [FORWARD] * n, cps)
+    bwd = flow.flow_endpoints(field, pts, [BACKWARD] * n, cps)
+    assert np.array_equal(both, np.concatenate([fwd, bwd]))
+    assert {cps[i].kind for i in fwd} == {MIN}
+    assert {cps[i].kind for i in bwd} == {MAX}
 
 def test_symmetry_under_negation(separable, sep_points):
     # forward flow of f from x0 equals backward flow of -f
