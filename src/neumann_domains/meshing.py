@@ -4,10 +4,12 @@ A face is meshed from its lifted boundary polygon: boundary pieces are
 resampled with a size field that grades geometrically into cusp
 neighbourhoods, interior points are laid down on multiscale lattices with a
 clearance rule, and the triangulation is the Delaunay triangulation of all
-points with exterior triangles culled.  Cusps may instead be truncated at a
-level line (natural boundary on the cut).  Cracked domains are dissected
-along a flow-line continuation of the crack, meshed per side and glued back
-together, which leaves the crack as a slit with duplicated vertices.
+points with flat and exterior triangles culled.  Triangles that fail the
+angle gate are refined by inserting their circumcentres, the only point the
+repair ever adds.  Cusps may instead be truncated at a level line (natural
+boundary on the cut).  Cracked domains are dissected along a flow-line
+continuation of the crack, meshed per side and glued back together, which
+leaves the crack as a slit with duplicated vertices.
 """
 
 import json
@@ -27,6 +29,7 @@ from .geometry import (_point_in_polygon, candidate_pairs, polygon_area,
 H_MIN_FACTOR = 64.0        # finest graded size is h / 64
 MIN_ANGLE_DEG = 15.0       # quality gate away from cusp neighbourhoods
 CUSP_QUALITY_RADIUS = 0.2
+FLAT_AREA_FACTOR = 1e-12   # triangles of area <= this * h^2 are dropped
 
 
 class TriMesh:
@@ -404,51 +407,42 @@ def _mesh_polygon(pieces, size):
     interior = _interior_points(polygon, boundary, size)
     allpts = np.vstack([boundary, interior]) if len(interior) else boundary
 
+    flat_area = FLAT_AREA_FACTOR * size.h ** 2
+
     def triangulate(pts):
+        # qhull returns flat triangles (areas ~1e-16) on runs of collinear
+        # boundary samples; their centroids lie on the boundary, so the
+        # centroid cull alone would keep them
         simplices = Delaunay(pts).simplices
         d1 = pts[simplices[:, 1]] - pts[simplices[:, 0]]
         d2 = pts[simplices[:, 2]] - pts[simplices[:, 0]]
-        flip = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0
+        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        flip = area2 < 0
         simplices[flip] = simplices[flip][:, [0, 2, 1]]
+        simplices = simplices[0.5 * np.abs(area2) > flat_area]
         cent = pts[simplices].mean(axis=1)
         return simplices[_point_in_polygon(cent, polygon)]
 
     simplices = triangulate(allpts)
     bad = _bad_triangles(allpts, simplices, size.centers)
-    # quality repair: flat caps along nearly straight boundary stretches get
-    # their circumcenters inserted, which is where Delaunay wants a point
+    # circumcentre refinement (Ruppert 1995; Shewchuk 2002): each bad
+    # triangle's circumcentre is inserted where it lies inside the polygon
+    # and 0.25 * size clear of the boundary and of every point so far
     for _ in range(12):
         if not len(bad):
             break
         new_pts = []
         for b in bad:
-            tri_pts = allpts[simplices[b]]
-            # off-edge point: perpendicular from the longest edge toward the
-            # opposite vertex; repairs flat caps along the boundary
-            sides = [np.linalg.norm(tri_pts[(k + 1) % 3] - tri_pts[k])
-                     for k in range(3)]
-            k = int(np.argmax(sides))
-            a, bb_, c = tri_pts[k], tri_pts[(k + 1) % 3], tri_pts[(k + 2) % 3]
-            mid = 0.5 * (a + bb_)
-            nrm = np.array([-(bb_ - a)[1], (bb_ - a)[0]])
-            nrm /= np.linalg.norm(nrm)
-            if np.dot(nrm, c - mid) < 0:
-                nrm = -nrm
-            s_mid = size((mid[0], mid[1]))
-            off = mid + 0.55 * s_mid * nrm
-            cand = [p for p in (_circumcenter(tri_pts), off,
-                                tri_pts.mean(axis=0))
-                    if _point_in_polygon(p[None, :], polygon)[0]]
-            for p in cand:
-                s = size((p[0], p[1]))
-                near_b = np.min(np.linalg.norm(boundary - p, axis=1))
-                if near_b < 0.25 * s:
-                    continue
-                others = np.vstack([allpts] + new_pts) if new_pts else allpts
-                if np.min(np.linalg.norm(others - p, axis=1)) < 0.25 * s:
-                    continue
-                new_pts.append(p)
-                break
+            p = _circumcenter(allpts[simplices[b]])
+            if not _point_in_polygon(p[None, :], polygon)[0]:
+                continue
+            s = size((p[0], p[1]))
+            if np.min(np.linalg.norm(boundary - p, axis=1)) < 0.25 * s:
+                continue
+            others = np.vstack([allpts] + new_pts) if new_pts else allpts
+            if np.min(np.linalg.norm(others - p, axis=1)) < 0.25 * s:
+                continue
+            new_pts.append(p)
         if not new_pts:
             break
         allpts = np.vstack([allpts, new_pts])
@@ -487,10 +481,9 @@ def _edge_keys(cells, n):
 
 
 def _circumcenter(tri_pts):
+    # d = 4 * area, nonzero because triangulate drops flat triangles
     a, b, c = tri_pts
     d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    if abs(d) < 1e-300:
-        return tri_pts.mean(axis=0)
     ux = ((np.dot(b, b) - np.dot(a, a)) * (c[1] - a[1])
           - (np.dot(c, c) - np.dot(a, a)) * (b[1] - a[1])) / d
     uy = ((np.dot(c, c) - np.dot(a, a)) * (b[0] - a[0])

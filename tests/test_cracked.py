@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from neumann_domains import build_crack_perturbation, verify_cracked
+from neumann_domains import (build_crack_perturbation, mesh_domain,
+                             neumann_spectrum, verify_cracked)
 from neumann_domains.cracked import EFFECTIVE_PEAK, GAMMA0
 from neumann_domains.errors import (AmplitudeTooSmall,
                                     PatchContainsCriticalPoint, PatchTooLarge)
@@ -203,3 +204,44 @@ def test_exactly_two_new_points_by_sign_census(crack_field):
     from scipy.ndimage import label
     _, ncl = label(cand)
     assert ncl == 2
+
+
+# the diagonal centres and the off-diagonal ones, whose cracked faces have
+# runs of collinear boundary samples along the straight lines of the base
+CRACK_CENTRES = [(np.pi / 2, np.pi / 2), (-np.pi / 2, -np.pi / 2),
+                 (np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2)]
+CENTRE_IDS = ["+pi/2,+pi/2", "-pi/2,-pi/2", "+pi/2,-pi/2", "-pi/2,+pi/2"]
+_slit_spectra = {}
+
+
+def _slit_spectrum(separable, center, K):
+    """Slit mesh of the cracked face at h = 0.12, its lowest 4 eigenpairs."""
+    if (center, K) not in _slit_spectra:
+        field = build_crack_perturbation(separable, center, 0.3, K)
+        rep = verify_cracked(field, 24)
+        mesh = mesh_domain(field, rep.cracked_faces[0], 0.12,
+                           critical_points=rep.complex.critical_points)
+        _slit_spectra[center, K] = (mesh, *neumann_spectrum(mesh, 4))
+    return _slit_spectra[center, K]
+
+
+@pytest.mark.parametrize("K", [12.0, -12.0])
+@pytest.mark.parametrize("center", CRACK_CENTRES, ids=CENTRE_IDS)
+def test_cracked_face_meshes_at_every_centre(separable, center, K):
+    mesh, mu, vecs = _slit_spectrum(separable, center, K)
+    assert mesh.is_disk()
+    assert abs(mu[0]) <= 1e-12
+    v0 = vecs[:, 0]
+    assert np.ptp(v0) / np.max(np.abs(v0)) <= 1e-10
+
+
+@pytest.mark.parametrize("K", [12.0, -12.0])
+@pytest.mark.parametrize("center", CRACK_CENTRES[::2], ids=CENTRE_IDS[::2])
+def test_mirror_cracks_share_spectrum(separable, center, K):
+    # the field cracked at -c with -K is minus the one cracked at c with K,
+    # translated by (pi, pi); both maps keep the Neumann domains and their
+    # spectra, so only the two meshes differ
+    mirror = (-center[0], -center[1])
+    _, mu, _ = _slit_spectrum(separable, center, K)
+    _, mu_m, _ = _slit_spectrum(separable, mirror, -K)
+    assert np.max(np.abs(mu[1:4] - mu_m[1:4])) <= 1e-4

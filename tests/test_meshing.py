@@ -7,7 +7,8 @@ import pytest
 
 import neumann_domains.meshing as meshing
 from neumann_domains import (cusp_length_decay, mesh_domain,
-                             structured_rect_mesh, truncate_domain)
+                             neumann_spectrum, structured_rect_mesh,
+                             truncate_domain)
 from neumann_domains.errors import (ExceptionalLevel, MeshQualityFailure,
                                     SelfIntersectingBoundary)
 from neumann_domains.meshing import (_interior_points, _lifted_cusp_points,
@@ -164,6 +165,20 @@ def test_slit_mesh_duplicated_vertices(crack_field, crack_report):
     assert len(dups) == nL   # tip is shared, root duplicated
 
 
+@pytest.mark.parametrize("names", [("separable", "sep_complex"),
+                                   ("anisotropic", "aniso_complex")],
+                         ids=["separable", "anisotropic"])
+def test_square_faces_mesh_alike(request, names):
+    # the four faces are congruent; face 3's boundary has collinear
+    # samples that qhull joins into flat hull triangles
+    field, cx = map(request.getfixturevalue, names)
+    meshes = [mesh_domain(field, cx.faces[k], 0.1,
+                          critical_points=cx.critical_points) for k in (0, 3)]
+    assert meshes[1].num_vertices == meshes[0].num_vertices
+    mu0, mu3 = (neumann_spectrum(m, 6)[0] for m in meshes)
+    assert np.max(np.abs(mu3 - mu0)) <= 1e-10
+
+
 def test_structured_mesh_is_disk():
     mesh = structured_rect_mesh(np.pi, np.pi, 8, 8)
     assert mesh.is_disk()
@@ -195,7 +210,7 @@ def test_lost_boundary_segment_raises():
                      [0, 0]])
     size = _make_size_fn(0.3, 0.5, np.empty((0, 2)))
     with pytest.raises(MeshQualityFailure,
-                       match="^3 boundary segments lost in triangulation$"):
+                       match="^2 boundary segments lost in triangulation$"):
         _mesh_polygon([(poly, "outer")], size)
 
 
@@ -257,6 +272,10 @@ MESH_SHA256 = {
                        "259d9f4eecae422168775a1d9ca0db7f",
     "lambda17_truncated": "c32e399e215d899d81c5a1af086d8c40"
                           "128403b27b87e87a8989b90ec7023f3a",
+    "lambda17_truncated_repaired": "cf195bbbbef6f46108b33240e6c1aae8"
+                                   "0dfcc91e8ea3f59c39750864c0c0566c",
+    "lambda17_truncated_repaired_f18": "50cc5219d77c57e7cceae878134f9c4a"
+                                       "ca64a99e3abb42592d766f37c3b78e8a",
 }
 
 
@@ -280,6 +299,31 @@ def test_mesh_digests_unchanged(separable, sep_complex, lambda17,
         digest = hashlib.sha256(mesh.vertices.tobytes()
                                 + mesh.triangles.tobytes()).hexdigest()
         assert digest == MESH_SHA256[name], name
+
+
+@pytest.mark.parametrize("name, face_index", [
+    ("lambda17_truncated_repaired", 12),
+    # a circumcentre here moves in the last bit when np.dot(b, b) in
+    # _circumcenter is written as b[0] * b[0] + b[1] * b[1]
+    ("lambda17_truncated_repaired_f18", 18)])
+def test_repaired_mesh_digest_unchanged(lambda17, l17_complex, monkeypatch,
+                                        name, face_index):
+    # these truncated faces mesh only after the quality repair inserts
+    # points, so their digests pin the repair path's bits
+    gate_calls = []
+    bad_triangles = meshing._bad_triangles
+
+    def counted(*args):
+        gate_calls.append(1)
+        return bad_triangles(*args)
+
+    monkeypatch.setattr(meshing, "_bad_triangles", counted)
+    mesh = mesh_domain(lambda17, l17_complex.faces[face_index], 0.1, t=0.99,
+                       critical_points=l17_complex.critical_points)
+    assert len(gate_calls) > 1
+    digest = hashlib.sha256(mesh.vertices.tobytes()
+                            + mesh.triangles.tobytes()).hexdigest()
+    assert digest == MESH_SHA256[name]
 
 
 def test_size_scalar_path_matches_array_path(l17_complex):
