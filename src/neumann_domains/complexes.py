@@ -34,14 +34,18 @@ REGULAR, CRACKED, DOUBLY_CRACKED = "regular", "cracked", "doublyCracked"
 
 
 class NeumannDomain:
-    """One face of the partition: boundary chain, extrema, classification."""
+    """One face of the partition: boundary chain, extrema, classification.
+
+    The face stores its boundary once, as the lifted ``pieces``.  The closed
+    ``polygon`` is built from them on each access and is a fresh array, so
+    a loop that reads it many times binds it once.
+    """
 
     def __init__(self, index, chain, pieces, vertex_seq):
         self.index = index
         self.chain = chain                  # list of darts (2*line + orient)
         self.pieces = pieces                # lifted polyline per dart
         self.vertex_seq = vertex_seq        # critical index at each chain node
-        self.polygon = np.vstack([pieces[0]] + [p[1:] for p in pieces[1:]])
         self.max_index = None
         self.min_index = None
         self.saddle_indices = []
@@ -49,6 +53,11 @@ class NeumannDomain:
         self.crack_line_ids = []
         self.cusps = []
         self.area = geometry.polygon_area(self.polygon)
+
+    @property
+    def polygon(self):
+        """Closed boundary polygon: the pieces joined at their shared ends."""
+        return np.vstack([self.pieces[0]] + [p[1:] for p in self.pieces[1:]])
 
     def to_dict(self):
         def py(v):

@@ -6,10 +6,14 @@ periodic lattice (Lorensen & Cline 1987): numpy computes every cell's case
 code, a case table gives the crossing-edge pairs (saddle cells 5 and 10 are
 split by the sign at the cell centre), all crossing edges are refined on
 the exact field at once, and the segments are chained into closed loops
-through the two cells that share each crossing edge.  Level lines used for
-cusp truncation are traced by a predictor-corrector walker that stays
-inside a given face polygon; its boundary crossings are refined by the
-same root kernel.
+through the two cells that share each crossing edge.  The pass holds one
+float per lattice node and a byte per cell: the field is evaluated a block
+of whole rows at a time into one preallocated array, and whole rows keep
+every row's evaluation, and so its bits, the same as on the full lattice.
+
+Level lines used for cusp truncation are traced by a predictor-corrector
+walker that stays inside a given face polygon; its boundary crossings are
+refined by the same root kernel.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from .errors import ExceptionalLevel
 SADDLE_LEVEL_TOL = 1e-3    # crossing this close to a saddle is 'exceptional'
 ROOT_ITERS = 30            # secant/bisection rounds per crossing edge
 LEVEL_ARC_MAX_STEPS = 400000
+_ROW_BLOCK = 16            # lattice rows per field evaluation in nodal_set
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +86,29 @@ def nodal_set(field, grid_res=512):
     closed loop that repeats its first point (up to a period shift for a
     loop that winds around the torus).  Empty when the field has a fixed
     sign.  ``grid_res`` must be at least 8.
+
+    Memory is one float per lattice node plus a byte per cell, beyond the
+    output.  The field is evaluated _ROW_BLOCK whole rows at a time: a block
+    of whole rows passes each row to the field as the same (n, 2) slice as
+    the full lattice does, so every value is computed bit for bit as there.
     """
     if grid_res < 8:
         raise ValueError("grid_res must be at least 8")
     n = int(grid_res)
     g = np.arange(n) / n * torus.PERIOD
     step = torus.PERIOD / n
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    raw = field.value(np.stack([X, Y], axis=-1)).ravel()
+    raw = np.empty((n, n))
+    block = np.empty((min(_ROW_BLOCK, n), n, 2))
+    block[..., 1] = g
+    for r in range(0, n, _ROW_BLOCK):
+        rows = block[:n - r]
+        rows[..., 0] = g[r:r + _ROW_BLOCK, None]
+        raw[r:r + len(rows)] = field.value(rows)
+    raw = raw.ravel()
     # an infinitesimal level shift removes exact zeros at lattice points and
     # splits nodal crossings at saddles into separate branches
-    level = 1e-9 * max(1.0, float(np.max(np.abs(raw))))
-    up = (raw > level).reshape(n, n).astype(int)
+    level = 1e-9 * max(1.0, float(max(raw.max(), -raw.min())))
+    up = (raw > level).reshape(n, n).view(np.uint8)
     right = np.roll(up, -1, 0)
     code = (up | right << 1 | np.roll(right, -1, 1) << 2
             | np.roll(up, -1, 1) << 3).ravel()

@@ -151,7 +151,7 @@ def truncate_domain(field, domain, t, critical_points):
         return TruncatedDomain(domain, t, base_pieces, 0.0)
 
     removed = 0.0
-    loop = domain.polygon.copy()
+    loop = domain.polygon
     markers = ["outer"] * (len(loop) - 1)
     for level, arc, above, marker in cuts:
         loop, markers, cut_area = _excise_cap(field, loop, markers, arc,
@@ -297,6 +297,7 @@ def _interior_points(polygon, boundary_pts, size):
     size_floor = h_min if len(centers) else h
     accepted = []
     btree = cKDTree(boundary_pts)
+    level_trees = []        # one tree per level's accepted points
     level_h = h
     while True:
         if level_h >= h * 0.999 or len(centers) == 0:
@@ -326,19 +327,22 @@ def _interior_points(polygon, boundary_pts, size):
             if len(cand):
                 inside = _point_in_polygon(cand, polygon)
                 cand, sizes = cand[inside], sizes[inside]
-            if len(cand):
-                d_b, _ = btree.query(cand)
-                ok = d_b >= 0.72 * sizes
-                cand, sizes = cand[ok], sizes[ok]
-            if len(cand) and accepted:
-                atree = cKDTree(np.vstack(accepted))
-                d_a, _ = atree.query(cand)
-                ok = d_a >= 0.72 * sizes
+            # a candidate with no point within its reach reads inf and is
+            # kept, as its exact distance would keep it; the bound's slack
+            # covers the tree's rounding of squared distances at the edge
+            for tree in [btree] + level_trees:
+                if not len(cand):
+                    break
+                reach = 0.72 * sizes
+                bound = reach.max() * (1 + 1e-9)
+                d, _ = tree.query(cand, distance_upper_bound=bound)
+                ok = d >= reach
                 cand, sizes = cand[ok], sizes[ok]
             if len(cand):
                 # enforce mutual spacing within the batch (overlapping
                 # center boxes can even duplicate lattice points exactly)
                 accepted.append(cand[_thin(cand, 0.72 * sizes)])
+                level_trees.append(cKDTree(accepted[-1]))
         if level_h <= h_min * 1.01:
             break
         level_h = max(level_h / 2.0, h_min)

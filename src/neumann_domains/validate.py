@@ -32,15 +32,16 @@ def attachment_samples(cx, rng):
     samples = []
     owners = []
     for face in cx.faces:
-        lo, hi = face.polygon.min(axis=0), face.polygon.max(axis=0)
+        polygon = face.polygon
+        lo, hi = polygon.min(axis=0), polygon.max(axis=0)
         clearance = 0.02
         got = 0
         for _ in range(4000):
             if got == 5:
                 break
             p = rng.uniform(lo, hi)
-            if _point_in_polygon(p[None, :], face.polygon)[0]:
-                d = np.min(np.linalg.norm(face.polygon - p, axis=1))
+            if _point_in_polygon(p[None, :], polygon)[0]:
+                d = np.min(np.linalg.norm(polygon - p, axis=1))
                 if d > clearance:
                     samples.append(p)
                     owners.append(face)

@@ -1,10 +1,13 @@
+import gc
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from neumann_domains import cusp_exponent, nodal_neumann_angles, nodal_set
+from neumann_domains import (build_complex, cusp_exponent,
+                             nodal_neumann_angles, nodal_set)
 from neumann_domains.complexes import CRACKED, DOUBLY_CRACKED, REGULAR
 from neumann_domains.critical import MAX, MIN, SADDLE, CriticalPoint
 from neumann_domains.errors import (DegreeTooSmall, EulerMismatch,
@@ -73,6 +76,43 @@ def test_report_digests_unchanged(sep_complex, aniso_complex, l17_complex,
                      ("crack", crack_report.complex)):
         digest = hashlib.sha256(cx.to_json().encode()).hexdigest()
         assert digest == REPORT_SHA256[name], name
+
+
+# sha256 over every face's polygon and area in the three bundled complexes
+# and the crack complex, recorded with the same versions while each face
+# still stored its polygon
+FACE_SHA256 = ("4869c054e77128506bc5e546d9c649ab"
+               "6e5ed8017127ffb3de0aaa8b7175f65d")
+
+
+def test_face_polygons_pinned(sep_complex, aniso_complex, l17_complex,
+                              crack_report):
+    from neumann_domains.geometry import polygon_area
+    digest = hashlib.sha256()
+    for cx in (sep_complex, aniso_complex, l17_complex, crack_report.complex):
+        for face in cx.faces:
+            ref = np.vstack([face.pieces[0]]
+                            + [p[1:] for p in face.pieces[1:]])
+            assert face.polygon.tobytes() == ref.tobytes()
+            assert face.area == polygon_area(ref)
+            digest.update(face.polygon.tobytes())
+            digest.update(np.float64(face.area).tobytes())
+    assert digest.hexdigest() == FACE_SHA256
+
+
+def test_complex_memory_follows_lines(lambda17):
+    # the complex keeps its traced lines and one lifted copy of them in the
+    # faces' pieces; a face that also stored its polygon would make it 5.2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = build_complex(lambda17, 24)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 3.5 * sum(ln.samples.nbytes for ln in cx.lines)
 
 
 def test_anisotropic_same_combinatorics(aniso_complex):

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from neumann_domains import level_arc_in_face
+from neumann_domains import MorseField, level_arc_in_face, nodal_set
 from neumann_domains.contours import _edge_roots, polyline_length
 from neumann_domains.errors import ExceptionalLevel
 
@@ -153,3 +155,35 @@ def test_edge_roots_match_scalar_reference(lambda17):
         assert np.array_equal(one, ref), k
         assert np.max(np.abs(batched[k] - ref)) <= 1e-13, k
     assert np.max(np.abs(lambda17.value(batched) - level)) < 1e-12
+
+
+# sha256 over tobytes() of every nodal_set polyline, recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1 while the field was still evaluated
+# on the whole lattice at once.  grid_res 100, 383 and 1000 end on a partial
+# block of rows, 8 is a single one.
+NODAL_SHA256 = ("a6b2fa476fa11a9a82a6a76db6a770fc"
+                "2e237dd012caf5bf8a5acac4d0ea65a5")
+
+
+def test_nodal_set_bits_pinned(separable, anisotropic, lambda17, crack_field):
+    generic = MorseField([(1.0, 1, 2, 0.0), (0.7, 2, 1, 0.3)])
+    digest = hashlib.sha256()
+    for field in (separable, anisotropic, lambda17, generic, crack_field):
+        for res in (8, 100, 383, 384, 1000):
+            for p in nodal_set(field, res):
+                digest.update(p.tobytes())
+    assert digest.hexdigest() == NODAL_SHA256
+
+
+def test_nodal_set_peak_memory(lambda17):
+    # one float per lattice node and a few bytes per cell, beyond the
+    # output; holding the field's temporaries on the whole lattice at once
+    # takes about eleven floats per node
+    n = 1024
+    tracemalloc.start()
+    try:
+        nodal_set(lambda17, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n
