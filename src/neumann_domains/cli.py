@@ -41,7 +41,10 @@ def _add_mesh_flags(p):
     p.add_argument("--domain-index", type=int, default=0)
     p.add_argument("--mesh-h", type=float, default=0.06)
     p.add_argument("--grading", type=float, default=0.5)
-    p.add_argument("--truncate", type=float, default=None)
+    p.add_argument("--truncate", type=float, default=None,
+                   help="cut each cusp's cap off at the level t*f(extremum), "
+                   "0 < t < 1; this changes the domain, so the spectrum and "
+                   "N(lambda) are those of the cut polygon")
     p.add_argument("--num-eigs", type=int, default=12)
     p.add_argument("--cluster-tol", type=float, default=1e-3)
     p.add_argument("--lam", type=float, default=None,

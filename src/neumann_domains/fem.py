@@ -24,7 +24,10 @@ def assemble_p1(mesh):
     """Stiffness and mass matrices for piecewise-linear elements.
 
     K is symmetric positive semidefinite with the constants in its kernel on
-    a connected mesh; M is symmetric positive definite.
+    a connected mesh; M is symmetric positive definite.  Both come from one
+    COO to CSR conversion of complex element data, K in the real part and M
+    in the imaginary part, so they share one ``indptr``/``indices`` pair: no
+    caller may edit either matrix's structure in place.
     """
     v = mesh.vertices
     t = mesh.triangles
@@ -40,14 +43,22 @@ def assemble_p1(mesh):
     by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
                   axis=1) / (2 * area[:, None])
     n = len(v)
+    t = t.astype(np.int32)
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
-    ke = (bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :])
+    # a duplicate's place in its sorted row depends on the indices alone, and
+    # complex addition sums both parts separately, so each matrix keeps the
+    # bits of its own real-valued assembly
+    e = np.empty((len(t), 3, 3), dtype=complex)
+    ke = e.real
+    np.multiply(bx[:, :, None], bx[:, None, :], out=ke)
+    ke += by[:, :, None] * by[:, None, :]
     ke *= area[:, None, None]
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    me = np.tile(np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0,
-                 (len(t), 1, 1)) * area[:, None, None]
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    np.multiply(np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0,
+                area[:, None, None], out=e.imag)
+    A = sp.coo_matrix((e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = sp.csr_matrix((A.data.real.copy(), A.indices, A.indptr), shape=(n, n))
+    M = sp.csr_matrix((A.data.imag.copy(), A.indices, A.indptr), shape=(n, n))
     return K, M
 
 
@@ -98,10 +109,12 @@ def _inertia(K, M, theta):
     """Number of eigenvalues of K v = mu M v below theta.
 
     By Sylvester's law of inertia, the number of negative pivots of a
-    symmetric LU factorisation of K - theta*M (spectrum slicing).  Returns
-    an int so that each factorisation is freed before the next one starts.
+    symmetric LU factorisation of K - theta*M (spectrum slicing).  The
+    exactly symmetric CSR is factored through its CSC transpose, which has
+    the same arrays as a ``tocsc`` copy.  Returns an int so that each
+    factorisation is freed before the next one starts.
     """
-    lu = spla.splu((K - theta * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu((K - theta * M).T, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverBreakdown(f"K - {theta:.6g} M needed off-diagonal "
@@ -151,7 +164,8 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     restriction solves the Neumann problem with eigenvalue lam.  (The plain
     coefficient-vector norm of R only converges on structured meshes, where
     neighbouring element errors cancel.)  For lam = 0 the normalization is
-    ||f||_M alone.
+    ||f||_M alone.  K + M is solved through its CSC transpose, as in
+    ``_inertia``.
     """
     if not field.is_eigenfunction:
         raise NotAnEigenfunctionField(
@@ -161,7 +175,7 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     F = field.value(mesh.vertices)
     R = K @ F - lam * (M @ F)
-    z = spla.spsolve((K + M).tocsc(), R)
+    z = spla.spsolve((K + M).T, R)
     dual = np.sqrt(max(float(z @ R), 0.0))
     scale = np.sqrt(float(F @ (M @ F)))
     if lam == 0.0:

@@ -10,7 +10,9 @@ saddle radius for a saddle, the extremum radius for an extremum of the
 attracting kind, none otherwise.  After each accepted step a periodic kd-tree
 of the census keeps the trajectories within twice the larger radius of some
 point, and exact torus distances for those alone pick the nearest eligible
-point.  The endpoint is then completed exactly to the critical point along
+point.  A trajectory moves no nearer the census than the arc it travels, so
+the tree's distance also tells how far it runs before it needs the next
+query.  The endpoint is then completed exactly to the critical point along
 the current chord.  Each trajectory's chain of accepted states and slopes is
 densified by cubic Hermite interpolation and resampled to uniform arclength,
 giving one ``FlowLine``.  The integration and stopping parameters are the
@@ -146,6 +148,10 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
     # rows farther than this from every census point cannot be captured
     tree = _tree(crit_xy, periodic=True)
     reach = 2.0 * max(CAPTURE_RADIUS, SADDLE_CAPTURE_RADIUS)
+    # the arc length before which a row cannot come within reach: its arc at
+    # the last query plus that query's census distance less reach (triangle
+    # inequality over its chords), with a relative slack
+    next_query = np.zeros(B)
 
     X = x0.copy()
     F = sgn[:, None] * (field.gradient(X) if grad0 is None else grad0)
@@ -214,9 +220,11 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         # capture test: the tree keeps the rows near a census point, and the
         # exact distances pick the nearest eligible point for those
         chk = acc[armed[acc]]
+        chk = chk[arc[chk] >= next_query[chk]]
         if len(chk):
-            d_near, _ = tree.query(_in_box(X[chk]), distance_upper_bound=reach)
-            chk = chk[np.isfinite(d_near)]
+            d_near, _ = tree.query(_in_box(X[chk]))
+            next_query[chk] = arc[chk] + (d_near - reach) * (1.0 - 1e-9)
+            chk = chk[d_near < reach]
         if len(chk):
             d = torus.pairwise_dist(X[chk], crit_xy)
             d_masked = np.where(d < radii[direction[chk]], d, np.inf)

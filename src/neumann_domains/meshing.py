@@ -184,12 +184,15 @@ def _excise_cap(field, loop, markers, arc, level, above, marker):
                        + [marker] * (len(arc_o) - 1) + ["outer"]
                        + markers[kb + 1:])
     else:
-        # the cap wraps around the loop start: keep seg1, arc closes it
+        # the cap wraps around the loop start: keep seg1, arc closes it.  The
+        # new loop starts at the arc's end, so that the short edge from there
+        # to loop[ka + 1] joins the first outer piece: as a 2-point piece of
+        # its own, resampling would keep both ends and leave a sliver there
         da = np.linalg.norm(loop[kb] - A), np.linalg.norm(loop[kb] - B)
         arc_o = arc if da[0] <= da[1] else arc[::-1]
-        new = np.vstack([loop[ka + 1:kb + 1], arc_o, loop[ka + 1:ka + 2]])
-        new_markers = (markers[ka + 1:kb + 1]
-                       + [marker] * (len(arc_o) - 1) + ["outer"])
+        new = np.vstack([arc_o[-1:], loop[ka + 1:kb + 1], arc_o])
+        new_markers = (["outer"] + markers[ka + 1:kb + 1]
+                       + [marker] * (len(arc_o) - 1))
     cut_area = abs(polygon_area(loop)) - abs(polygon_area(new))
     return new, new_markers, cut_area
 

@@ -263,3 +263,51 @@ def test_spectrum_report_digests_unchanged(separable, sep_complex, lambda17,
         rep = domain_spectrum_report(field, mesh, lam, k)
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
         assert digest == REPORT_SHA256[name], name
+
+
+def _assembly_cases(separable, sep_complex, lambda17, l17_complex):
+    """Meshes whose P1 matrices are pinned by ASSEMBLY_SHA256."""
+    cases = {f"separable_h{h:.4f}": mesh_domain(
+        separable, sep_complex.faces[0], h,
+        critical_points=sep_complex.critical_points)
+        for h in (np.pi / 32, np.pi / 64, 0.03)}
+    cases["structured_16"] = structured_rect_mesh(np.pi, np.pi, 16, 16)
+    for i, face in enumerate(l17_complex.faces):
+        cases[f"lambda17_face{i:02d}"] = mesh_domain(
+            lambda17, face, 0.03, critical_points=l17_complex.critical_points)
+    return cases
+
+
+def _assembly_digest(cases):
+    """sha256 over the P1 matrices of the cases, which share their structure."""
+    h = hashlib.sha256()
+    for name in sorted(cases):
+        K, M = assemble_p1(cases[name])
+        assert np.shares_memory(K.indptr, M.indptr), name
+        assert np.shares_memory(K.indices, M.indices), name
+        assert K.indptr.dtype == K.indices.dtype == np.int32, name
+        for A in (K, M):
+            for arr in (A.indptr, A.indices, A.data):
+                h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over indptr, indices and data of K and M, recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1
+ASSEMBLY_SHA256 = {
+    "separable": "24144c1b3b1e4db06eccface316c01e8"
+                 "8767524e914996f381e64701ced23934",
+    "structured": "8c0db87a1703f4debdea7332daec6323"
+                  "494001de1a849d2da981357d9a28acb2",
+    "lambda17": "bac81dcd28dde50f25b1b055be3af911"
+                "f55fd64ba3f7acda7af1569304177c0f",
+}
+
+
+def test_assembly_bits_unchanged(separable, sep_complex, lambda17,
+                                 l17_complex):
+    cases = _assembly_cases(separable, sep_complex, lambda17, l17_complex)
+    digests = {group: _assembly_digest(
+        {k: v for k, v in cases.items() if k.startswith(group)})
+        for group in ASSEMBLY_SHA256}
+    assert digests == ASSEMBLY_SHA256

@@ -244,6 +244,22 @@ def test_truncation_cap_wrapping_loop_start(lambda17, l17_complex):
     assert tr.area() == pytest.approx(face.area - tr.removed_area, abs=1e-9)
 
 
+def test_every_cusped_face_meshes_truncated(lambda17, l17_complex):
+    # where a cap wraps the loop start, the loop must not close with a
+    # 2-point outer piece within one flow sample of the cut: resampling keeps
+    # both its points and the mesh gets a sliver there (17 of these 50 faces
+    # raised MeshQualityFailure when it did)
+    cx = l17_complex
+    cusped = [f for f in cx.faces if any(c["confirmed"] for c in f.cusps)]
+    assert len(cusped) == 50
+    for face in cusped:
+        tr = truncate_domain(lambda17, face, 0.99, cx.critical_points)
+        assert all(len(p) > 2 for p, _ in tr.pieces)
+        mesh = mesh_domain(lambda17, face, 0.05, t=0.99,
+                           critical_points=cx.critical_points)
+        assert mesh.is_disk()
+
+
 def test_cusp_free_mesh_memory(separable, sep_complex):
     # without grading centres only the h and h/2 lattices can place
     # points; building the finer levels over the bounding box as well costs
