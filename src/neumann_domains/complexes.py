@@ -60,15 +60,6 @@ class NeumannDomain:
         return np.vstack([self.pieces[0]] + [p[1:] for p in self.pieces[1:]])
 
     def to_dict(self):
-        def py(v):
-            if isinstance(v, (bool, np.bool_)):
-                return bool(v)
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            if isinstance(v, (float, np.floating)):
-                return float(v)
-            return v
-
         return {
             "chain": [[int(d // 2), int(d % 2)] for d in self.chain],
             "vertices": [int(v) for v in self.vertex_seq],
@@ -77,7 +68,7 @@ class NeumannDomain:
             "saddles": [int(s) for s in self.saddle_indices],
             "classification": self.classification,
             "crack_lines": [int(i) for i in self.crack_line_ids],
-            "cusps": [{k: py(v) for k, v in c.items()} for c in self.cusps],
+            "cusps": [dict(c) for c in self.cusps],
             "area": float(self.area),
         }
 

@@ -167,20 +167,21 @@ def nodal_set(field, grid_res=512):
 # ---------------------------------------------------------------------------
 
 def _boundary_crossings(field, polygon, level):
-    """Points where f == level on a closed polygon, in chain order.
+    """Edges where f == level on a closed polygon, in chain order.
 
-    A vertex on the level counts as it is; each edge whose ends straddle the
-    level is refined by its own one-row _edge_roots call, which evaluates
-    the field bit for bit as a single point does (a batched evaluation can
-    differ in the last bit and move the cut).
+    Returns (k, point) pairs: a vertex k on the level counts as it is, at
+    edge k; each edge k whose ends straddle the level is refined by its own
+    one-row _edge_roots call, which evaluates the field bit for bit as a
+    single point does (a batched evaluation can differ in the last bit and
+    move the cut).
     """
     raw = field.value(polygon)
     f0, f1 = raw[:-1] - level, raw[1:] - level
     on = f0 == 0.0
     straddle = ~on & ((f0 > 0) != (f1 > 0))
-    return [polygon[k].copy() if on[k] else
-            _edge_roots(field, polygon[k:k + 1], polygon[k + 1:k + 2],
-                        raw[k:k + 1], raw[k + 1:k + 2], level)[0]
+    return [(k, polygon[k].copy() if on[k] else
+             _edge_roots(field, polygon[k:k + 1], polygon[k + 1:k + 2],
+                         raw[k:k + 1], raw[k + 1:k + 2], level)[0])
             for k in np.flatnonzero(on | straddle)]
 
 
@@ -191,14 +192,22 @@ def level_arc_in_face(field, face, level, saddle_positions=()):
     with both endpoints on the boundary.  Raises ExceptionalLevel when an
     endpoint falls onto a saddle point.
     """
-    polygon = face.polygon
+    return _level_arc(field, face.polygon, level, saddle_positions)[1]
+
+
+def _level_arc(field, polygon, level, saddle_positions):
+    """The level arc in a face polygon, and the polygon edges of its ends.
+
+    Returns (edges, arc): the arc runs from its end on polygon edge
+    edges[0] to its end on edges[1], in chain order.
+    """
     hits = _boundary_crossings(field, polygon, level)
     if len(hits) != 2:
         # an arc has two ends; more crossings mean the level passes a
         # saddle corner of the face
         raise ExceptionalLevel(
             f"level {level} meets the face boundary {len(hits)} times")
-    A, B = hits
+    (ka, A), (kb, B) = hits
     for s in saddle_positions:
         if min(torus.dist(s, torus.wrap(A)), torus.dist(s, torus.wrap(B))) \
                 < SADDLE_LEVEL_TOL:
@@ -244,7 +253,7 @@ def level_arc_in_face(field, face, level, saddle_positions=()):
     else:
         raise ExceptionalLevel(f"level arc tracing did not terminate at {level}")
     pts.append(B)
-    return np.array(pts)
+    return np.array([ka, kb]), np.array(pts)
 
 
 def polyline_length(pts):

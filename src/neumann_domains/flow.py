@@ -7,16 +7,16 @@ accepted point, so its slope is the next step's first.  A trajectory ends when
 it enters the capture ball of a critical point that attracts its flow
 direction.  Each census point has one capture radius per direction: the
 saddle radius for a saddle, the extremum radius for an extremum of the
-attracting kind, none otherwise.  After each accepted step a periodic kd-tree
-of the census keeps the trajectories within twice the larger radius of some
-point, and exact torus distances for those alone pick the nearest eligible
-point.  A trajectory moves no nearer the census than the arc it travels, so
-the tree's distance also tells how far it runs before it needs the next
-query.  The endpoint is then completed exactly to the critical point along
-the current chord.  Each trajectory's chain of accepted states and slopes is
-densified by cubic Hermite interpolation and resampled to uniform arclength,
-giving one ``FlowLine``.  The integration and stopping parameters are the
-module constants below, read at call time.
+attracting kind, none otherwise.  After an accepted step the torus distances
+from a trajectory to every census point pick the nearest eligible point.  A
+trajectory moves no nearer the census than the arc it travels, so the
+nearest distance also tells how far it runs before it needs the next test,
+and only the trajectories due for one are measured.  The endpoint is then
+completed exactly to the critical point along the current chord.  Each
+trajectory's chain of accepted states and slopes is densified by cubic
+Hermite interpolation and resampled to uniform arclength, giving one
+``FlowLine``.  The integration and stopping parameters are the module
+constants below, read at call time.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from . import torus
 from .critical import MIN, MAX, SADDLE
 from .errors import NoConvergence, SteppedOutOfTolerance
-from .geometry import _in_box, _tree
 
 # integrator tolerances; tight tolerances keep cusp tangencies resolved
 RTOL = 1e-10
@@ -146,10 +145,9 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
     radii = _capture_radii(critical_points)
     direction = np.where(sgn < 0, 0, 1)
     # rows farther than this from every census point cannot be captured
-    tree = _tree(crit_xy, periodic=True)
     reach = 2.0 * max(CAPTURE_RADIUS, SADDLE_CAPTURE_RADIUS)
     # the arc length before which a row cannot come within reach: its arc at
-    # the last query plus that query's census distance less reach (triangle
+    # the last test plus that test's census distance less reach (triangle
     # inequality over its chords), with a relative slack
     next_query = np.zeros(B)
 
@@ -217,16 +215,14 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
             d0 = torus.dist(X[need_arm], crit_xy[start_exclude[need_arm]])
             armed[need_arm[d0 > 2.0 * CAPTURE_RADIUS]] = True
 
-        # capture test: the tree keeps the rows near a census point, and the
-        # exact distances pick the nearest eligible point for those
+        # capture test for the rows that are due: the nearest census distance
+        # sets the next test, the nearest eligible point within its radius
+        # captures
         chk = acc[armed[acc]]
         chk = chk[arc[chk] >= next_query[chk]]
         if len(chk):
-            d_near, _ = tree.query(_in_box(X[chk]))
-            next_query[chk] = arc[chk] + (d_near - reach) * (1.0 - 1e-9)
-            chk = chk[d_near < reach]
-        if len(chk):
             d = torus.pairwise_dist(X[chk], crit_xy)
+            next_query[chk] = arc[chk] + (d.min(axis=1) - reach) * (1.0 - 1e-9)
             d_masked = np.where(d < radii[direction[chk]], d, np.inf)
             nearest = np.argmin(d_masked, axis=1)
             hit = np.isfinite(d_masked[np.arange(len(chk)), nearest])

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from . import torus
-from .contours import level_arc_in_face, polyline_length
+from .contours import _level_arc, level_arc_in_face, polyline_length
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
 from .flow import FORWARD, BACKWARD, integrate_flow
@@ -127,84 +127,50 @@ def truncate_domain(field, domain, t, critical_points):
     Keyed on which of the face's extrema carry a cusp: the cap around a cusp
     maximum is removed above t*f(max) ('gamma_plus' arc), the cap around a
     cusp minimum below t*f(min) ('gamma_minus'); a face without cusps is
-    returned unchanged.  Raises ExceptionalLevel when a level line passes
-    through a saddle.
+    returned unchanged.  f is strictly monotone along each flow line, so the
+    level meets the piece arriving at the extremum and the piece leaving it
+    once each: the cut ends the one and starts the other at the arc's ends,
+    and every other piece, with its corners, is kept as it is.  Raises
+    ExceptionalLevel when a level line passes through a saddle or crosses
+    any other piece.
     """
     if not (0.0 < t < 1.0):
         raise ValueError("t must be in (0, 1)")
     cusps = _cusp_indices(domain)
     vmax, vmin, shift = _domain_levels(domain, critical_points)
     saddles = [critical_points[i].position for i in domain.saddle_indices]
-
-    cuts = []
-    if domain.max_index in cusps:
-        level = shift + t * (vmax - shift)
-        arc = level_arc_in_face(field, domain, level, saddles)
-        cuts.append((level, arc, True, "gamma_plus"))
-    if domain.min_index in cusps:
-        level = shift + t * (vmin - shift)
-        arc = level_arc_in_face(field, domain, level, saddles)
-        cuts.append((level, arc, False, "gamma_minus"))
-
-    base_pieces = [(p, "outer") for p in domain.pieces]
+    pieces = [(p, "outer") for p in domain.pieces]
+    cuts = [(ci, v, marker) for ci, v, marker in
+            ((domain.max_index, vmax, "gamma_plus"),
+             (domain.min_index, vmin, "gamma_minus")) if ci in cusps]
     if not cuts:
-        return TruncatedDomain(domain, t, base_pieces, 0.0)
+        return TruncatedDomain(domain, t, pieces, 0.0)
 
-    removed = 0.0
-    loop = domain.polygon
-    markers = ["outer"] * (len(loop) - 1)
-    for level, arc, above, marker in cuts:
-        loop, markers, cut_area = _excise_cap(field, loop, markers, arc,
-                                              level, above, marker)
-        removed += cut_area
-    pieces_out = _pieces_from_loop(loop, markers)
-    return TruncatedDomain(domain, t, pieces_out, removed)
-
-
-def _excise_cap(field, loop, markers, arc, level, above, marker):
-    """Replace the part of the loop beyond the level with the traced arc."""
-    vals = field.value(loop) - level
-    n = len(loop) - 1
-    crossings = [k for k in range(n)
-                 if (vals[k] > 0) != (vals[k + 1] > 0)]
-    if len(crossings) != 2:
-        raise ExceptionalLevel(
-            f"level cut meets the boundary {len(crossings)} times")
-    ka, kb = crossings
-    # vertices strictly inside (ka, kb] form one candidate cap
-    seg1 = list(range(ka + 1, kb + 1))
-    inside1 = (vals[seg1] > 0).all() if above else (vals[seg1] < 0).all()
-    A, B = arc[0], arc[-1]
-    if inside1:
-        # remove seg1: loop becomes [0..ka] + arc + [kb+1 ..]
-        da = np.linalg.norm(loop[ka] - A), np.linalg.norm(loop[ka] - B)
-        arc_o = arc if da[0] <= da[1] else arc[::-1]
-        new = np.vstack([loop[:ka + 1], arc_o, loop[kb + 1:]])
-        new_markers = (markers[:ka] + ["outer"]
-                       + [marker] * (len(arc_o) - 1) + ["outer"]
-                       + markers[kb + 1:])
-    else:
-        # the cap wraps around the loop start: keep seg1, arc closes it.  The
-        # new loop starts at the arc's end, so that the short edge from there
-        # to loop[ka + 1] joins the first outer piece: as a 2-point piece of
-        # its own, resampling would keep both ends and leave a sliver there
-        da = np.linalg.norm(loop[kb] - A), np.linalg.norm(loop[kb] - B)
-        arc_o = arc if da[0] <= da[1] else arc[::-1]
-        new = np.vstack([arc_o[-1:], loop[ka + 1:kb + 1], arc_o])
-        new_markers = (["outer"] + markers[ka + 1:kb + 1]
-                       + [marker] * (len(arc_o) - 1))
-    cut_area = abs(polygon_area(loop)) - abs(polygon_area(new))
-    return new, new_markers, cut_area
-
-
-def _pieces_from_loop(loop, markers):
-    pieces = []
-    start = 0
-    for k in range(1, len(markers) + 1):
-        if k == len(markers) or markers[k] != markers[start]:
-            pieces.append((loop[start:k + 1], markers[start]))
-            start = k
-    return pieces
+    polygon = domain.polygon
+    n = len(pieces)
+    # polygon edge e lies on piece searchsorted(starts, e, 'right') - 1
+    starts = np.cumsum([0] + [len(p) - 1 for p in domain.pieces[:-1]])
+    arc_before = {}
+    for ci, v, marker in cuts:
+        level = shift + t * (v - shift)
+        edges, arc = _level_arc(field, polygon, level, saddles)
+        k = domain.vertex_seq.index(ci)
+        if k == 0:          # the leaving piece comes first in chain order
+            edges, arc = edges[::-1], arc[::-1]
+        j = np.searchsorted(starts, edges, side="right") - 1
+        if tuple(j) != ((k - 1) % n, k):
+            raise ExceptionalLevel(
+                f"level {level} crosses the boundary away from the cusp")
+        a, b = edges - starts[j]
+        pieces[j[0]] = (np.vstack([domain.pieces[j[0]][:a + 1], arc[:1]]),
+                        "outer")
+        pieces[k] = (np.vstack([arc[-1:], domain.pieces[k][b + 1:]]), "outer")
+        arc_before[k] = (arc, marker)
+    for k in sorted(arc_before, reverse=True):
+        pieces.insert(k, arc_before[k])
+    removed = abs(domain.area) - abs(polygon_area(
+        np.vstack([p for p, _ in pieces])))
+    return TruncatedDomain(domain, t, pieces, removed)
 
 
 def cusp_length_decay(field, domain, t_list, critical_points):

@@ -11,9 +11,9 @@ from neumann_domains import (cusp_length_decay, mesh_domain,
                              truncate_domain)
 from neumann_domains.errors import (ExceptionalLevel, MeshQualityFailure,
                                     SelfIntersectingBoundary)
-from neumann_domains.meshing import (_interior_points, _lifted_cusp_points,
-                                     _make_size_fn, _mesh_polygon,
-                                     _resample_by_size)
+from neumann_domains.meshing import (_cusp_indices, _interior_points,
+                                     _lifted_cusp_points, _make_size_fn,
+                                     _mesh_polygon, _resample_by_size)
 
 
 def test_square_mesh_counts(separable, sep_complex):
@@ -102,6 +102,19 @@ def test_truncate_exceptional_level(lambda17, l17_complex):
     if 0 < t_exc < 1:
         with pytest.raises(ExceptionalLevel):
             truncate_domain(lambda17, face, t_exc, cx.critical_points)
+
+
+def test_truncate_level_past_a_saddle(lambda17, l17_complex):
+    # between the two saddle values the level meets the pieces at the upper
+    # saddle, not the two at the maximum: the region above it holds that
+    # saddle and is no cusp cap (it was cut away, 0.46 of the face's 0.58)
+    cps = l17_complex.critical_points
+    face = l17_complex.faces[0]
+    assert face.max_index in _cusp_indices(face)
+    s_lo, s_hi = sorted(cps[i].value for i in face.saddle_indices)
+    t = 0.5 * (max(s_lo, 0.0) + s_hi) / cps[face.max_index].value
+    with pytest.raises(ExceptionalLevel, match="away from the cusp"):
+        truncate_domain(lambda17, face, t, cps)
 
 
 def test_cusp_length_decay(lambda17, l17_complex):
@@ -232,7 +245,7 @@ def test_off_export(tmp_path, separable, sep_complex):
 
 def test_truncation_cap_wrapping_loop_start(lambda17, l17_complex):
     # a cusp at the chain start puts the removed cap across the polygon
-    # seam; the excision must still close the loop and conserve area
+    # seam; the cut must still close the loop and conserve area
     cx = l17_complex
     face = next(f for f in cx.faces
                 if f.vertex_seq[0] in {c["crit_index"] for c in f.cusps
@@ -260,6 +273,38 @@ def test_every_cusped_face_meshes_truncated(lambda17, l17_complex):
         assert mesh.is_disk()
 
 
+def test_truncation_keeps_corners(lambda17, l17_complex):
+    # the cut edits only the two pieces at the cusped extremum, so every
+    # other chain vertex stays a piece end, which resampling keeps; when the
+    # pieces were rebuilt from the flattened loop, 101 of these 134 corners
+    # were resampled away.  At t = 0.9, faces 18 and 52 fail to mesh at this
+    # h (one flat triangle beside a corner), so the test cuts at t = 0.95
+    cx = l17_complex
+    for face in cx.faces:
+        cut = _cusp_indices(face)
+        if not cut:
+            continue
+        mesh = mesh_domain(lambda17, face, 0.05, t=0.95,
+                           critical_points=cx.critical_points)
+        on_boundary = {tuple(mesh.vertices[i])
+                       for e in mesh.boundary_edges for i in e[:2]}
+        for v, pts in zip(face.vertex_seq, face.pieces):
+            if v not in cut:
+                assert tuple(pts[0]) in on_boundary, (face.index, v)
+
+
+def test_mirror_faces_truncate_alike(lambda17, l17_complex):
+    # faces 29 and 63 are mirror images of each other, and so are their
+    # truncated polygons; losing corners to resampling broke the symmetry
+    # and moved mu_1..mu_5 apart by up to 0.069
+    cx = l17_complex
+    mus = [neumann_spectrum(mesh_domain(lambda17, cx.faces[i], 0.05, t=0.99,
+                                        critical_points=cx.critical_points),
+                            6)[0]
+           for i in (29, 63)]
+    assert np.max(np.abs(mus[0] - mus[1])) < 1e-3
+
+
 def test_cusp_free_mesh_memory(separable, sep_complex):
     # without grading centres only the h and h/2 lattices can place
     # points; building the finer levels over the bounding box as well costs
@@ -278,7 +323,10 @@ def test_cusp_free_mesh_memory(separable, sep_complex):
 
 # sha256 of vertices.tobytes() + triangles.tobytes(), recorded with Python
 # 3.11.7, numpy 2.4.6 and scipy 1.17.1; other versions may round the
-# geometry differently
+# geometry differently.  The three truncated digests were re-recorded when
+# truncation began to cut only the two pieces at the cusped extremum: the
+# saddle corners, resampled away before, are now mesh vertices
+# (test_truncation_keeps_corners, test_mirror_faces_truncate_alike)
 MESH_SHA256 = {
     "separable": "783414ba2cdb928bd7457592aa9736bf"
                  "6264eb3227d9e5876927cb46ffbcec32",
@@ -286,12 +334,12 @@ MESH_SHA256 = {
                           "18a2c0d65943a8d8a8c7aa555789deb8",
     "lambda17_cusped": "5a9955a235094f79ad0f8fe16cf640ba"
                        "259d9f4eecae422168775a1d9ca0db7f",
-    "lambda17_truncated": "c32e399e215d899d81c5a1af086d8c40"
-                          "128403b27b87e87a8989b90ec7023f3a",
-    "lambda17_truncated_repaired": "cf195bbbbef6f46108b33240e6c1aae8"
-                                   "0dfcc91e8ea3f59c39750864c0c0566c",
-    "lambda17_truncated_repaired_f18": "50cc5219d77c57e7cceae878134f9c4a"
-                                       "ca64a99e3abb42592d766f37c3b78e8a",
+    "lambda17_truncated": "125fe065abd7d2817e303d6f8a25991d"
+                          "6ce8319417798cfd6540b8dd0cbd3055",
+    "lambda17_truncated_repaired": "92dda6d079a550659a829820acc33347"
+                                   "5f8836b60e12c5b778a6f1a981d0b200",
+    "lambda17_truncated_repaired_f18": "3d17bf64cdb7ae5951bd11725cd2b6df"
+                                       "06adc36f62d84b7d2115a814d1b3f428",
 }
 
 
