@@ -62,6 +62,18 @@ def assemble_p1(mesh):
     return K, M
 
 
+def _plus(K, M, a):
+    """K + a*M on the structure that ``assemble_p1`` gives both matrices.
+
+    Adds the data arrays only, where scipy's sparse arithmetic would merge
+    the two structures again; each entry has the bits of scipy's sum.  An
+    entry that cancels to exactly 0 stays as an explicit zero, where scipy
+    would drop it; no bundled case cancels.
+    """
+    return sp.csr_matrix((K.data + a * M.data, K.indices, K.indptr),
+                         shape=K.shape)
+
+
 class _Thin(spla.LinearOperator):
     """A square operator whose matvec is a bare function, unchecked.
 
@@ -95,7 +107,7 @@ def neumann_spectrum(mesh, k, *, _matrices=None):
     sigma = -0.1
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        lu = spla.splu((K - sigma * M).T)
+        lu = spla.splu(_plus(K, M, -sigma).T)
         vals, vecs = spla.eigsh(K, k=k, M=_Thin(M.dot, n), sigma=sigma,
                                 which="LM", v0=v0,
                                 OPinv=_Thin(lu.solve, n))
@@ -111,11 +123,15 @@ def _inertia(K, M, theta):
     By Sylvester's law of inertia, the number of negative pivots of a
     symmetric LU factorisation of K - theta*M (spectrum slicing).  The
     exactly symmetric CSR is factored through its CSC transpose, which has
-    the same arrays as a ``tocsc`` copy.  Returns an int so that each
-    factorisation is freed before the next one starts.
+    the same arrays as a ``tocsc`` copy.  Only the pivot signs are read,
+    so the supernode settings (``relax``, ``panel_size``) are tuned for
+    speed; the factors whose solves set report bits keep scipy's.
+    Returns an int so that each factorisation is freed before the next one
+    starts.
     """
-    lu = spla.splu((K - theta * M).T, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    lu = spla.splu(_plus(K, M, -theta).T, permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, relax=20, panel_size=5,
+                   options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverBreakdown(f"K - {theta:.6g} M needed off-diagonal "
                               "pivots, whose signs give no inertia")
@@ -175,7 +191,7 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     F = field.value(mesh.vertices)
     R = K @ F - lam * (M @ F)
-    z = spla.spsolve((K + M).T, R)
+    z = spla.spsolve(_plus(K, M, 1.0).T, R)
     dual = np.sqrt(max(float(z @ R), 0.0))
     scale = np.sqrt(float(F @ (M @ F)))
     if lam == 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from . import torus
-from .contours import _level_arc, level_arc_in_face, polyline_length
+from .contours import _level_arc, polyline_length
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
 from .flow import FORWARD, BACKWARD, integrate_flow
@@ -107,16 +107,6 @@ class TruncatedDomain:
         return abs(polygon_area(np.vstack([p for p, _ in self.pieces])))
 
 
-def _domain_levels(domain, cps):
-    """Extremum values and the shift that centres f around zero."""
-    vmax = cps[domain.max_index].value
-    vmin = cps[domain.min_index].value
-    shift = 0.0
-    if not (vmax > 0.0 > vmin):
-        shift = 0.5 * (vmax + vmin)
-    return vmax, vmin, shift
-
-
 def _cusp_indices(domain):
     return sorted({c["crit_index"] for c in domain.cusps if c["confirmed"]})
 
@@ -137,22 +127,26 @@ def truncate_domain(field, domain, t, critical_points):
     if not (0.0 < t < 1.0):
         raise ValueError("t must be in (0, 1)")
     cusps = _cusp_indices(domain)
-    vmax, vmin, shift = _domain_levels(domain, critical_points)
-    saddles = [critical_points[i].position for i in domain.saddle_indices]
     pieces = [(p, "outer") for p in domain.pieces]
-    cuts = [(ci, v, marker) for ci, v, marker in
-            ((domain.max_index, vmax, "gamma_plus"),
-             (domain.min_index, vmin, "gamma_minus")) if ci in cusps]
+    cuts = [(ci, marker) for ci, marker in
+            ((domain.max_index, "gamma_plus"),
+             (domain.min_index, "gamma_minus")) if ci in cusps]
     if not cuts:
         return TruncatedDomain(domain, t, pieces, 0.0)
 
+    vmax = critical_points[domain.max_index].value
+    vmin = critical_points[domain.min_index].value
+    # levels are scaled about the middle of the extremum values when f
+    # keeps one sign on the face
+    shift = 0.0 if vmax > 0.0 > vmin else 0.5 * (vmax + vmin)
+    saddles = [critical_points[i].position for i in domain.saddle_indices]
     polygon = domain.polygon
     n = len(pieces)
     # polygon edge e lies on piece searchsorted(starts, e, 'right') - 1
     starts = np.cumsum([0] + [len(p) - 1 for p in domain.pieces[:-1]])
     arc_before = {}
-    for ci, v, marker in cuts:
-        level = shift + t * (v - shift)
+    for ci, marker in cuts:
+        level = shift + t * (critical_points[ci].value - shift)
         edges, arc = _level_arc(field, polygon, level, saddles)
         k = domain.vertex_seq.index(ci)
         if k == 0:          # the leaving piece comes first in chain order
@@ -176,23 +170,21 @@ def truncate_domain(field, domain, t, critical_points):
 def cusp_length_decay(field, domain, t_list, critical_points):
     """Normalized level-line lengths L(gamma)/sqrt(1-t) near each cusp.
 
-    The sequence must decrease toward zero as t -> 1.  Returns records
-    (t, crit_index, length, normalized).
+    L is the length of the arc ``truncate_domain`` cuts at t, so a level
+    that meets a saddle or crosses the boundary away from the cusp, as one
+    past a saddle value does, raises ExceptionalLevel here as it does
+    there.  The sequence must decrease toward zero as t -> 1.  Returns
+    records (t, crit_index, length, normalized), by t and then by cusp.
     """
-    cusps = _cusp_indices(domain)
-    if not cusps:
+    if not _cusp_indices(domain):
         raise ValueError("domain has no confirmed cusp")
-    vmax, vmin, shift = _domain_levels(domain, critical_points)
-    saddles = [critical_points[i].position for i in domain.saddle_indices]
+    cusp_of = {"gamma_plus": domain.max_index,
+               "gamma_minus": domain.min_index}
     out = []
     for t in t_list:
-        if not (0.0 < t < 1.0):
-            raise ValueError("t values must be in (0, 1)")
-        for ci in cusps:
-            v = vmax if ci == domain.max_index else vmin
-            level = shift + t * (v - shift)
-            arc = level_arc_in_face(field, domain, level, saddles)
-            L = polyline_length(arc)
+        cut = truncate_domain(field, domain, t, critical_points)
+        for ci, L in sorted((cusp_of[m], polyline_length(p))
+                            for p, m in cut.pieces if m in cusp_of):
             out.append((t, ci, L, L / np.sqrt(1.0 - t)))
     return out
 
@@ -465,16 +457,19 @@ def _circumcenter(tri_pts):
 
 
 def _min_angles(verts, tris):
-    """Smallest interior angle of each triangle, in radians."""
-    ang = np.empty((len(tris), 3))
+    """Smallest interior angle of each triangle, in radians.
+
+    arccos decreases, so the angle at the corner of largest cosine is the
+    smallest one, to the bit.
+    """
+    cosang = np.empty((len(tris), 3))
     for k in range(3):
         a = verts[tris[:, k]]
         u1 = verts[tris[:, (k + 1) % 3]] - a
         u2 = verts[tris[:, (k + 2) % 3]] - a
-        cosang = np.sum(u1 * u2, axis=1) / (
+        cosang[:, k] = np.sum(u1 * u2, axis=1) / (
             np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1) + 1e-300)
-        ang[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return np.min(ang, axis=1)
+    return np.arccos(np.clip(np.max(cosang, axis=1), -1.0, 1.0))
 
 
 def _bad_triangles(verts, simplices, quality_centers):

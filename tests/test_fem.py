@@ -265,6 +265,24 @@ def test_spectrum_report_digests_unchanged(separable, sep_complex, lambda17,
         assert digest == REPORT_SHA256[name], name
 
 
+# sha256 over domain_spectrum_report(lambda17, mesh, 17.0, 12).to_json() of
+# every lambda17 face at h = 0.03, in face order, recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1
+LAMBDA17_FACES_REPORT_SHA256 = ("81dee424a222895a6184c352eb2836f8"
+                                "07cca349c744b6c4a59d54b62817151f")
+
+
+def test_lambda17_face_reports_unchanged(lambda17, l17_complex):
+    h = hashlib.sha256()
+    for face in l17_complex.faces:
+        mesh = mesh_domain(lambda17, face, 0.03,
+                           critical_points=l17_complex.critical_points)
+        h.update(domain_spectrum_report(lambda17, mesh, 17.0, 12)
+                 .to_json().encode())
+    assert len(l17_complex.faces) == 68
+    assert h.hexdigest() == LAMBDA17_FACES_REPORT_SHA256
+
+
 def _assembly_cases(separable, sep_complex, lambda17, l17_complex):
     """Meshes whose P1 matrices are pinned by ASSEMBLY_SHA256."""
     cases = {f"separable_h{h:.4f}": mesh_domain(

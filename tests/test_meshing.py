@@ -107,7 +107,8 @@ def test_truncate_exceptional_level(lambda17, l17_complex):
 def test_truncate_level_past_a_saddle(lambda17, l17_complex):
     # between the two saddle values the level meets the pieces at the upper
     # saddle, not the two at the maximum: the region above it holds that
-    # saddle and is no cusp cap (it was cut away, 0.46 of the face's 0.58)
+    # saddle and is no cusp cap (it was cut away, 0.46 of the face's 0.58),
+    # so the decay has no cap length to report at this t (about 0.194)
     cps = l17_complex.critical_points
     face = l17_complex.faces[0]
     assert face.max_index in _cusp_indices(face)
@@ -115,6 +116,8 @@ def test_truncate_level_past_a_saddle(lambda17, l17_complex):
     t = 0.5 * (max(s_lo, 0.0) + s_hi) / cps[face.max_index].value
     with pytest.raises(ExceptionalLevel, match="away from the cusp"):
         truncate_domain(lambda17, face, t, cps)
+    with pytest.raises(ExceptionalLevel, match="away from the cusp"):
+        cusp_length_decay(lambda17, face, (t,), cps)
 
 
 def test_cusp_length_decay(lambda17, l17_complex):
