@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import geometry, torus
-from .contours import polyline_intersections
+from .contours import _onto_level, polyline_intersections
 from .critical import MIN, MAX, SADDLE, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      ProportionalHessian, UnknownCriticalPoint)
@@ -546,15 +546,8 @@ def nodal_neumann_angles(cx, nodal_polylines):
             # symmetric secant of the nodal curve: step +-arc along the raw
             # direction, project back onto the level set, difference
             level = float(field.value(pt))
-
-            def on_level(q):
-                for _ in range(4):
-                    g = field.gradient(q)
-                    q = q - (field.value(q) - level) * g / np.dot(g, g)
-                return q
-
-            pa = on_level(pt + NODAL_SECANT_ARC * vb)
-            pb = on_level(pt - NODAL_SECANT_ARC * vb)
+            pa = _onto_level(field, pt + NODAL_SECANT_ARC * vb, level, 4)
+            pb = _onto_level(field, pt - NODAL_SECANT_ARC * vb, level, 4)
             vn = pa - pb
             cb = np.arctan2(vn[1], vn[0])
             ca = np.arctan2(va[1], va[0])

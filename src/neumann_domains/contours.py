@@ -195,6 +195,14 @@ def level_arc_in_face(field, face, level, saddle_positions=()):
     return _level_arc(field, face.polygon, level, saddle_positions)[1]
 
 
+def _onto_level(field, x, level, steps):
+    """Move the point x onto f == level by ``steps`` gradient Newton steps."""
+    for _ in range(steps):
+        g = field.gradient(x)
+        x = x - (field.value(x) - level) * g / np.dot(g, g)
+    return x
+
+
 def _level_arc(field, polygon, level, saddle_positions):
     """The level arc in a face polygon, and the polygon edges of its ends.
 
@@ -214,13 +222,6 @@ def _level_arc(field, polygon, level, saddle_positions):
             raise ExceptionalLevel(
                 f"level {level} passes through a saddle point")
 
-    def correct(x):
-        for _ in range(3):
-            g = field.gradient(x)
-            r = field.value(x) - level
-            x = x - r * g / np.dot(g, g)
-        return x
-
     span = np.linalg.norm(B - A)
     h = max(1e-6, min(5e-3, 0.05 * span))
     g = field.gradient(A)
@@ -233,7 +234,7 @@ def _level_arc(field, polygon, level, saddle_positions):
     x = A.copy()
     prev_tan = tan
     for it in range(LEVEL_ARC_MAX_STEPS):
-        x_try = correct(x + h * prev_tan)
+        x_try = _onto_level(field, x + h * prev_tan, level, 3)
         g = field.gradient(x_try)
         tan = np.array([-g[1], g[0]])
         tan /= np.linalg.norm(tan)

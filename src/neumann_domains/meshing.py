@@ -7,9 +7,10 @@ clearance rule, and the triangulation is the Delaunay triangulation of all
 points with flat and exterior triangles culled.  Triangles that fail the
 angle gate are refined by inserting their circumcentres, the only point the
 repair ever adds.  Cusps may instead be truncated at a level line (natural
-boundary on the cut).  Cracked domains are dissected along a flow-line
-continuation of the crack, meshed per side and glued back together, which
-leaves the crack as a slit with duplicated vertices.
+boundary on the cut).  A cracked domain is meshed as the single polygon its
+boundary chain describes: the chain runs up the crack and back down, each
+point it visits twice is one Delaunay site split into one vertex per visit,
+and the crack is left as a slit with duplicated vertices.
 """
 
 import json
@@ -18,11 +19,9 @@ import math
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from . import torus
 from .contours import _level_arc, polyline_length
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
-from .flow import FORWARD, BACKWARD, integrate_flow
 from .geometry import (_point_in_polygon, candidate_pairs, polygon_area,
                        segment_hits)
 
@@ -345,29 +344,30 @@ def _thin(cand, r):
 
 
 def _mesh_polygon(pieces, size):
-    """Delaunay-with-culling mesher for one simple polygon.
+    """Delaunay-with-culling mesher for one polygon, slits allowed.
 
-    ``pieces`` are (points, marker) polylines forming a closed loop, already
-    sampled at the boundary spacing (two sub-polygons that share a seam
-    must share its samples).  The size field places the interior points,
-    and its centers are the neighbourhoods exempt from the angle gate.  The
-    return keeps boundary points first so piece bookkeeping survives:
-    (vertices, triangles, boundary_edges, piece_slices).
+    ``pieces`` are (points, marker) polylines forming a closed
+    counterclockwise loop, already sampled at the boundary spacing.  A point
+    the loop visits more than once, as it does every sample of a slit but
+    the tip, is one Delaunay site and one mesh vertex per visit; each
+    triangle there takes one visit (``_take_visits``).  The size field
+    places the interior points, and its centers are the neighbourhoods
+    exempt from the angle gate.  The return keeps the boundary points
+    first, in loop order: (vertices, triangles, boundary_edges).
     """
-    bpts = [pieces[0][0][:-1]]
-    piece_slices = []
-    start = 0
-    for k, (pts, marker) in enumerate(pieces):
-        npts = len(pts) - 1      # last point belongs to the next piece
-        piece_slices.append((start, start + npts, marker))
-        if k > 0:
-            bpts.append(pts[:-1])
-        start += npts
-    boundary = np.vstack(bpts)
+    boundary = np.vstack([pts[:-1] for pts, _ in pieces])
+    markers = [m for pts, m in pieces for _ in range(len(pts) - 1)]
     nb = len(boundary)
     polygon = np.vstack([boundary, boundary[:1]])
     if _self_intersects(polygon):
         raise SelfIntersectingBoundary("resampled boundary self-intersects")
+
+    # as complex numbers two points are equal exactly when both coordinates
+    # are, and a 1-d unique is far cheaper than a row-wise one
+    _, first, inverse = np.unique(boundary.view(complex).ravel(),
+                                  return_index=True, return_inverse=True)
+    site = first[inverse]               # first visit of each loop point
+    again = np.flatnonzero(site != np.arange(nb))
 
     interior = _interior_points(polygon, boundary, size)
     allpts = np.vstack([boundary, interior]) if len(interior) else boundary
@@ -375,18 +375,24 @@ def _mesh_polygon(pieces, size):
     flat_area = FLAT_AREA_FACTOR * size.h ** 2
 
     def triangulate(pts):
+        # the Delaunay sites are the points but the loop's later visits
+        sites = np.delete(pts, again, axis=0)
+        simplices = Delaunay(sites).simplices
         # qhull returns flat triangles (areas ~1e-16) on runs of collinear
         # boundary samples; their centroids lie on the boundary, so the
         # centroid cull alone would keep them
-        simplices = Delaunay(pts).simplices
-        d1 = pts[simplices[:, 1]] - pts[simplices[:, 0]]
-        d2 = pts[simplices[:, 2]] - pts[simplices[:, 0]]
+        d1 = sites[simplices[:, 1]] - sites[simplices[:, 0]]
+        d2 = sites[simplices[:, 2]] - sites[simplices[:, 0]]
         area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         flip = area2 < 0
         simplices[flip] = simplices[flip][:, [0, 2, 1]]
         simplices = simplices[0.5 * np.abs(area2) > flat_area]
-        cent = pts[simplices].mean(axis=1)
-        return simplices[_point_in_polygon(cent, polygon)]
+        cent = sites[simplices].mean(axis=1)
+        simplices = simplices[_point_in_polygon(cent, polygon)]
+        if len(again):
+            simplices = np.delete(np.arange(len(pts)), again)[simplices]
+            _take_visits(simplices, pts, site)
+        return simplices
 
     simplices = triangulate(allpts)
     bad = _bad_triangles(allpts, simplices, size.centers)
@@ -426,11 +432,33 @@ def _mesh_polygon(pieces, size):
             f"{len(bad)} triangles under {MIN_ANGLE_DEG} deg min angle "
             "away from cusp neighbourhoods")
 
-    boundary_edges = []
-    for s0, s1, marker in piece_slices:
-        for k in range(s0, s1):
-            boundary_edges.append((k, (k + 1) % nb, marker))
-    return allpts, simplices, boundary_edges, piece_slices
+    boundary_edges = [(k, (k + 1) % nb, m) for k, m in enumerate(markers)]
+    return allpts, simplices, boundary_edges
+
+
+def _take_visits(simplices, pts, site):
+    """Give each triangle at a repeated loop point one visit, in place.
+
+    ``site`` holds the first visit of each loop point, and the loop's
+    points come first in ``pts``.  A visit's corner runs counterclockwise
+    from the loop's next point to its previous one, and a triangle at the
+    point takes the visit whose corner holds its centroid.  A triangle that
+    no corner holds keeps the first visit, and the mesher's conformity
+    check reports the boundary edges it leaves out.
+    """
+    nb = len(site)
+    visits = np.flatnonzero(np.bincount(site, minlength=nb)[site] > 1)
+    d_next = pts[(visits + 1) % nb] - pts[visits]
+    d_prev = pts[visits - 1] - pts[visits]
+    a_next = np.arctan2(d_next[:, 1], d_next[:, 0])
+    span = (np.arctan2(d_prev[:, 1], d_prev[:, 0]) - a_next) % (2 * np.pi)
+    t, k = np.nonzero(np.isin(simplices, visits))
+    at = simplices[t, k]
+    d = pts[simplices[t]].mean(axis=1) - pts[at]
+    a = np.arctan2(d[:, 1], d[:, 0])
+    for v, a0, sp in zip(visits, a_next, span):
+        mine = (at == site[v]) & ((a - a0) % (2 * np.pi) < sp)
+        simplices[t[mine], k[mine]] = v
 
 
 def _edge_keys(cells, n):
@@ -523,10 +551,10 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
 
     Cusp neighbourhoods are graded down to h/64 by default; with ``t`` they
     are truncated at level lines instead (the cut carries natural boundary).
-    Cracked domains are dissected along a flow line from the crack tip,
-    meshed per side, and glued, leaving the crack as a slit of duplicated
-    vertices.  ``critical_points`` is the census the complex was built
-    from.
+    A cracked domain is meshed as the one polygon its boundary chain
+    describes, which runs up each crack and back down: the crack becomes a
+    slit of duplicated vertices, and ``t`` does not apply.
+    ``critical_points`` is the census the complex was built from.
     """
     if not h > 0:
         raise ValueError(f"mesh size h = {h} must be positive")
@@ -534,17 +562,20 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
         raise ValueError(f"grading {grading} must be positive")
 
     if domain.crack_line_ids:
-        return _mesh_cracked(field, domain, h, grading, t, critical_points)
-
-    if t is not None:
-        pieces = truncate_domain(field, domain, t, critical_points).pieces
+        size, pieces = _slit_pieces(domain, h, grading)
+    elif t is not None:
         size = _make_size_fn(h, grading, [])        # cusps are cut away
+        pieces = [(_resample_by_size(p, size), m) for p, m in
+                  truncate_domain(field, domain, t, critical_points).pieces]
     else:
-        pieces = [(p, "outer") for p in domain.pieces]
         size = _make_size_fn(h, grading, _lifted_cusp_points(domain))
-    pieces = [(_resample_by_size(p, size), m) for p, m in pieces]
-    verts, tris, bedges, _ = _mesh_polygon(pieces, size)
-    return TriMesh(verts, tris, bedges, h, grading, t)
+        pieces = [(_resample_by_size(p, size), "outer")
+                  for p in domain.pieces]
+    verts, tris, bedges = _mesh_polygon(pieces, size)
+    mesh = TriMesh(verts, tris, bedges, h, grading, t)
+    if domain.crack_line_ids and not mesh.is_disk():
+        raise MeshQualityFailure("slit mesh is not a disk")
+    return mesh
 
 
 def _lifted_cusp_points(domain):
@@ -553,84 +584,31 @@ def _lifted_cusp_points(domain):
             if v in cusps]
 
 
-def _mesh_cracked(field, domain, h, grading, t, cps):
-    """Dissect along a flow line from the crack tip, mesh both sides, glue."""
+def _slit_pieces(domain, h, grading):
+    """Size field and resampled boundary pieces of a cracked face.
+
+    The chain runs up each crack and straight back down.  The way up is
+    resampled once, marked 'crack_R', and the way back is its exact
+    reverse, marked 'crack_L', so every crack sample but the tip is a point
+    the loop visits twice.  The size field grades into the crack's root
+    saddle, where the slit meets the rest of the boundary, and into the
+    face's other extremum, where the root saddle's two other lines pinch
+    the face to a corner that can be sharper than the angle gate.
+    """
     n = len(domain.chain)
-    crack = domain.crack_line_ids[0]
-    i = next(k for k in range(n)
-             if domain.chain[k] // 2 == crack
-             and domain.chain[(k + 1) % n] // 2 == crack)
-    tip_idx = domain.vertex_seq[(i + 1) % n]
-    tip_cp = cps[tip_idx]
-    tip_lift = domain.pieces[i][-1]
-
-    # continuation: flow from just past the tip down to the opposite extremum
-    crack_in = domain.pieces[i]
-    v = crack_in[-1] - crack_in[-2]
-    v = v / np.linalg.norm(v)
-    x0 = torus.wrap(tip_lift + 1e-4 * v)
-    direction = FORWARD if tip_cp.kind == "maximum" else BACKWARD
-    cont = integrate_flow(field, x0, direction, cps)
-    target = domain.min_index if tip_cp.kind == "maximum" else domain.max_index
-    if cont.end_index != target:
-        raise MeshQualityFailure(
-            "crack continuation did not reach the opposite extremum")
-    eta = np.vstack([tip_lift,
-                     cont.samples + (tip_lift + 1e-4 * v - cont.samples[0])])
-    # find the chain position of the target vertex and align the lift
-    kp = next(k for k in range(n) if domain.vertex_seq[k] == target)
-    p_lift = domain.pieces[kp][0]
-    if np.linalg.norm(eta[-1] - p_lift) > 1e-6:
-        raise MeshQualityFailure("crack continuation lift mismatch")
-    eta[-1] = p_lift
-
-    # grade into every junction of the dissection: the continuation lands on
-    # the opposite extremum tangentially to the boundary, and the crack root
-    # has wedge corners on both sides
-    size = _make_size_fn(h, grading, [tip_lift, p_lift, domain.pieces[i][0]])
-    eta_res = _resample_by_size(eta, size)
-    crack_res = _resample_by_size(domain.pieces[i], size)
-
-    def pieces_range(a, b):     # chain pieces a..b-1 (mod n) as 'outer'
-        out = []
-        k = a
-        while k % n != b % n:
-            out.append((_resample_by_size(domain.pieces[k % n], size),
-                        "outer"))
-            k += 1
-        return out
-
-    # side A: crack-out piece (tip -> r*), outer chain to p, eta reversed
-    side_a = [(crack_res[::-1], "crack_L")] + pieces_range(i + 2, kp) \
-        + [(eta_res[::-1], "eta")]
-    # side B: eta (tip -> p), outer chain from p back to the crack root
-    side_b = [(eta_res, "eta")] + pieces_range(kp, i) + [(crack_res, "crack_R")]
-
-    va, ta, ba, slices_a = _mesh_polygon(side_a, size)
-    vb, tb, bb, slices_b = _mesh_polygon(side_b, size)
-
-    def eta_ids(slices):
-        # the eta piece's vertices and the closing one, which is the first
-        # vertex of the next piece (0 when eta is the last piece)
-        s0, s1, _ = next(s for s in slices if s[2] == "eta")
-        return np.arange(s0, s1 + 1) % slices[-1][1]
-
-    # glue along eta: map B's eta vertices onto A's
-    ids_a, ids_b = eta_ids(slices_a), eta_ids(slices_b)
-    mapping = np.full(len(vb), -1, dtype=int)
-    for ia, ib in zip(ids_a[::-1], ids_b):   # reversed orientation
-        mapping[ib] = ia
-    fresh = np.flatnonzero(mapping < 0)
-    mapping[fresh] = len(va) + np.arange(len(fresh))
-    verts = np.vstack([va, vb[fresh]])
-    tris = np.vstack([ta, mapping[tb]])
-    bedges = [e for e in ba if e[2] != "eta"]
-    bedges += [(int(mapping[i]), int(mapping[j]), m)
-               for i, j, m in bb if m != "eta"]
-    mesh = TriMesh(verts, tris, bedges, h, grading, t)
-    if not mesh.is_disk():
-        raise MeshQualityFailure("glued crack mesh is not a disk")
-    return mesh
+    ups = [k for k in range(n)
+           if domain.chain[(k + 1) % n] == domain.chain[k] ^ 1]
+    tips = {domain.vertex_seq[(k + 1) % n] for k in ups}
+    others = [domain.pieces[k][0] for k, v in enumerate(domain.vertex_seq)
+              if v in {domain.max_index, domain.min_index} - tips]
+    size = _make_size_fn(h, grading,
+                         [domain.pieces[k][0] for k in ups] + others)
+    pieces = {}
+    for k in ups:
+        up = _resample_by_size(domain.pieces[k], size)
+        pieces[k], pieces[(k + 1) % n] = (up, "crack_R"), (up[::-1], "crack_L")
+    return size, [pieces.get(k) or (_resample_by_size(p, size), "outer")
+                  for k, p in enumerate(domain.pieces)]
 
 
 def structured_rect_mesh(width, height, nx, ny, origin=(0.0, 0.0)):

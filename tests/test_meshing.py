@@ -181,6 +181,38 @@ def test_slit_mesh_duplicated_vertices(crack_field, crack_report):
     assert len(dups) == nL   # tip is shared, root duplicated
 
 
+def test_slit_polygon_meshes_both_sides():
+    # a pi x pi square slit from (pi/2, 0) up to (pi/2, pi/2): the loop runs
+    # up the slit and straight back down, so every slit sample but the tip
+    # is visited twice
+    a, b = np.pi / 2, np.pi
+    corners = [(0, 0), (a, 0), (a, a), (a, 0), (b, 0), (b, b), (0, b), (0, 0)]
+    size = _make_size_fn(0.2, 0.5, np.empty((0, 2)))
+    pieces = [(_resample_by_size(np.array([p, q], dtype=float), size),
+               "outer") for p, q in zip(corners[:-1], corners[1:])]
+    slit = pieces[1][0]
+    pieces[1:3] = [(slit, "crack_R"), (slit[::-1], "crack_L")]
+    verts, tris, bedges = _mesh_polygon(pieces, size)
+    mesh = meshing.TriMesh(verts, tris, bedges, 0.2, 0.5)
+    assert mesh.is_disk()
+    coord_count = Counter(map(tuple, verts))
+    assert {c for c, n in coord_count.items() if n > 1} \
+        == set(map(tuple, slit[:-1]))
+    assert len(slit) == 9
+    # no triangle edge runs from one side of the slit to the other below
+    # its tip
+    e = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1).reshape(-1, 2)
+    p, q = verts[e[:, 0]], verts[e[:, 1]]
+    across = (p[:, 0] - a) * (q[:, 0] - a) < 0
+    y = p[across, 1] + (a - p[across, 0]) * (q[across, 1] - p[across, 1]) \
+        / (q[across, 0] - p[across, 0])
+    assert across.any() and np.all(y >= a)
+    # glued across the slit, the mesh would give mu_1 near 1, the square's
+    mu, _ = neumann_spectrum(mesh, 4)
+    assert abs(mu[0]) <= 1e-12
+    assert mu[1] < 0.9
+
+
 @pytest.mark.parametrize("names", [("separable", "sep_complex"),
                                    ("anisotropic", "aniso_complex")],
                          ids=["separable", "anisotropic"])
