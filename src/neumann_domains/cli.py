@@ -43,8 +43,9 @@ def _add_mesh_flags(p):
     p.add_argument("--grading", type=float, default=0.5)
     p.add_argument("--truncate", type=float, default=None,
                    help="cut each cusp's cap off at the level t*f(extremum), "
-                   "0 < t < 1; this changes the domain, so the spectrum and "
-                   "N(lambda) are those of the cut polygon")
+                   "0 < t < 1, on an uncracked face with a confirmed cusp; "
+                   "this changes the domain, so the spectrum and N(lambda) "
+                   "are those of the cut polygon")
     p.add_argument("--num-eigs", type=int, default=12)
     p.add_argument("--cluster-tol", type=float, default=1e-3)
     p.add_argument("--lam", type=float, default=None,

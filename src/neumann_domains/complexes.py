@@ -433,8 +433,8 @@ def _attach_extrema(face, cps):
 def build_complex(field, seed_grid=24):
     """Trace the Neumann line set and assemble the partition of the torus.
 
-    Raises EulerMismatch if V - E + F != 0 and LineCrossing if traced lines
-    intersect away from critical points.
+    Raises EulerMismatch if V - E + F != 0 or a face walks clockwise, and
+    LineCrossing if traced lines intersect away from critical points.
     """
     cps = find_critical_points(field, seed_grid)
     saddles = [c for c in cps if c.kind == SADDLE]
@@ -463,15 +463,15 @@ def build_complex(field, seed_grid=24):
         c.degree = len(darts_at.get(c.index, []))
     faces = []
     cx = NeumannComplex(field, cps, lines, faces, darts_at)
-    # realize each chain as a positively oriented polygon; its extrema are the
-    # maximum and minimum among the critical points at the chain's nodes
+    # realize each chain as a polygon; its extrema are the maximum and
+    # minimum among the critical points at the chain's nodes
     for fi, chain in enumerate(chains):
         pieces, vertex_seq = _lift_chain(lines, chain)
         face = NeumannDomain(fi, chain, pieces, vertex_seq)
-        if face.area < 0:   # normalize to positive orientation
-            chain = [d ^ 1 for d in reversed(chain)]
-            pieces, vertex_seq = _lift_chain(lines, chain)
-            face = NeumannDomain(fi, chain, pieces, vertex_seq)
+        if face.area < 0:
+            # with counterclockwise rotations the walk keeps each face on
+            # its left, so a clockwise face means a wrong rotation system
+            raise EulerMismatch(f"face {fi} walks clockwise")
         faces.append(face)
         _attach_extrema(face, cps)
         face.saddle_indices = sorted({v for v in face.vertex_seq

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (AmbiguousCluster, NonSPDMass, NotAnEigenfunctionField,
                      SolverBreakdown, SpectrumTooShort)
@@ -63,15 +64,33 @@ def assemble_p1(mesh):
 
 
 def _plus(K, M, a):
-    """K + a*M on the structure that ``assemble_p1`` gives both matrices.
+    """K + a*M, in CSC, on the structure that ``assemble_p1`` gives both.
 
     Adds the data arrays only, where scipy's sparse arithmetic would merge
     the two structures again; each entry has the bits of scipy's sum.  An
     entry that cancels to exactly 0 stays as an explicit zero, where scipy
-    would drop it; no bundled case cancels.
+    would drop it; no bundled case cancels.  The sum is symmetric, so its
+    CSR arrays read as CSC are the same matrix, and SuperLU takes them as
+    they are.
     """
-    return sp.csr_matrix((K.data + a * M.data, K.indices, K.indptr),
+    return sp.csc_matrix((K.data + a * M.data, K.indices, K.indptr),
                          shape=K.shape)
+
+
+def _csr_dot(A):
+    """``A.dot`` for a float vector, without scipy's dispatch in front.
+
+    Calls the ``csr_matvec`` kernel that ``A.dot`` runs, on a zero-filled
+    result as ``A.dot`` does, so every product keeps its bits.
+    """
+    n, m = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def dot(x):
+        y = np.zeros(n)
+        csr_matvec(n, m, indptr, indices, data, x, y)
+        return y
+    return dot
 
 
 class _Thin(spla.LinearOperator):
@@ -94,10 +113,10 @@ def neumann_spectrum(mesh, k, *, _matrices=None):
     """The k smallest Neumann eigenvalues and M-orthonormal eigenvectors.
 
     Shift-invert Lanczos about sigma = -0.1, below the zero eigenvalue.
-    The shifted matrix is factored as scipy's eigsh factors it (splu of the
-    CSC transpose of the symmetric CSR K - sigma*M, default options), and
-    ARPACK applies that factor and M through bare matvecs, so the result is
-    the plain ``eigsh(K, k, M=M, sigma=sigma, which="LM", v0=v0)`` one.
+    The shifted matrix K - sigma*M is factored as scipy's eigsh factors it
+    (splu with default options), and ARPACK applies that factor and M
+    through bare matvecs, so the result is the plain
+    ``eigsh(K, k, M=M, sigma=sigma, which="LM", v0=v0)`` one.
     """
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     n = K.shape[0]
@@ -107,8 +126,8 @@ def neumann_spectrum(mesh, k, *, _matrices=None):
     sigma = -0.1
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        lu = spla.splu(_plus(K, M, -sigma).T)
-        vals, vecs = spla.eigsh(K, k=k, M=_Thin(M.dot, n), sigma=sigma,
+        lu = spla.splu(_plus(K, M, -sigma))
+        vals, vecs = spla.eigsh(K, k=k, M=_Thin(_csr_dot(M), n), sigma=sigma,
                                 which="LM", v0=v0,
                                 OPinv=_Thin(lu.solve, n))
     except Exception as exc:            # ARPACK or factorization failure
@@ -121,15 +140,14 @@ def _inertia(K, M, theta):
     """Number of eigenvalues of K v = mu M v below theta.
 
     By Sylvester's law of inertia, the number of negative pivots of a
-    symmetric LU factorisation of K - theta*M (spectrum slicing).  The
-    exactly symmetric CSR is factored through its CSC transpose, which has
-    the same arrays as a ``tocsc`` copy.  Only the pivot signs are read,
-    so the supernode settings (``relax``, ``panel_size``) are tuned for
-    speed; the factors whose solves set report bits keep scipy's.
+    symmetric LU factorisation of K - theta*M (spectrum slicing).  Only the
+    pivot signs are read, so the supernode settings (``relax``,
+    ``panel_size``) are tuned for speed; the factors whose solves set
+    report bits keep scipy's.
     Returns an int so that each factorisation is freed before the next one
     starts.
     """
-    lu = spla.splu(_plus(K, M, -theta).T, permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu(_plus(K, M, -theta), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0, relax=20, panel_size=5,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -180,8 +198,7 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     restriction solves the Neumann problem with eigenvalue lam.  (The plain
     coefficient-vector norm of R only converges on structured meshes, where
     neighbouring element errors cancel.)  For lam = 0 the normalization is
-    ||f||_M alone.  K + M is solved through its CSC transpose, as in
-    ``_inertia``.
+    ||f||_M alone.
     """
     if not field.is_eigenfunction:
         raise NotAnEigenfunctionField(
@@ -191,7 +208,7 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     F = field.value(mesh.vertices)
     R = K @ F - lam * (M @ F)
-    z = spla.spsolve(_plus(K, M, 1.0).T, R)
+    z = spla.spsolve(_plus(K, M, 1.0), R)
     dual = np.sqrt(max(float(z @ R), 0.0))
     scale = np.sqrt(float(F @ (M @ F)))
     if lam == 0.0:

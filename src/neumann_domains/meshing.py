@@ -249,17 +249,26 @@ def _interior_points(polygon, boundary_pts, size):
     clearance ball of one already taken.  A candidate that is in no ball
     but its own and whose ball holds no other is kept whatever the order,
     so the greedy walks only the contested ones.
+
+    The size band, the polygon test and the boundary clearance look at one
+    candidate alone, so they run once over every level's candidates; only
+    the clearance against coarser levels' points and the greedy run level
+    by level.
     """
     h, h_min, centers = size.h, size.h_min, size.centers
     lo = polygon.min(axis=0)
     hi = polygon.max(axis=0)
     # smallest value the size field takes: h_min at a center, else h
     size_floor = h_min if len(centers) else h
-    accepted = []
-    btree = cKDTree(boundary_pts)
-    level_trees = []        # one tree per level's accepted points
-    level_h = h
-    while True:
+    levels = [h]
+    while levels[-1] > h_min * 1.01:
+        level_h = max(levels[-1] / 2.0, h_min)
+        if size_floor >= 2.2 * level_h:
+            break       # no size reaches this band or any finer one
+        levels.append(level_h)
+
+    cand, level_of = [], []
+    for i, level_h in enumerate(levels):
         if level_h >= h * 0.999 or len(centers) == 0:
             boxes = [(lo, hi)]
         else:
@@ -267,7 +276,6 @@ def _interior_points(polygon, boundary_pts, size):
             rad = 2.5 * level_h / max(size.grading, 1e-6)
             boxes = [(np.maximum(c - rad, lo), np.minimum(c + rad, hi))
                      for c in centers]
-        cand_all = []
         for blo, bhi in boxes:
             gx = np.arange(blo[0] + 0.5 * level_h, bhi[0], level_h)
             gy = np.arange(blo[1] + 0.5 * level_h, bhi[1],
@@ -275,39 +283,48 @@ def _interior_points(polygon, boundary_pts, size):
             if len(gx) and len(gy):
                 X, Y = np.meshgrid(gx, gy, indexing="ij")
                 X[:, 1::2] += 0.5 * level_h     # hex offset
-                cand_all.append(np.stack([X.ravel(), Y.ravel()], axis=-1))
-        if cand_all:
-            cand = np.vstack(cand_all)
-            sizes = np.atleast_1d(size(cand))
-            band = (sizes >= 0.99 * level_h) if level_h > h_min * 1.5 \
-                else (sizes >= h_min * 0.99)
-            band &= sizes < 2.2 * level_h
-            cand = cand[band]
-            sizes = sizes[band]
-            if len(cand):
-                inside = _point_in_polygon(cand, polygon)
-                cand, sizes = cand[inside], sizes[inside]
-            # a candidate with no point within its reach reads inf and is
-            # kept, as its exact distance would keep it; the bound's slack
-            # covers the tree's rounding of squared distances at the edge
-            for tree in [btree] + level_trees:
-                if not len(cand):
-                    break
-                reach = 0.72 * sizes
-                bound = reach.max() * (1 + 1e-9)
-                d, _ = tree.query(cand, distance_upper_bound=bound)
-                ok = d >= reach
-                cand, sizes = cand[ok], sizes[ok]
-            if len(cand):
-                # enforce mutual spacing within the batch (overlapping
-                # center boxes can even duplicate lattice points exactly)
-                accepted.append(cand[_thin(cand, 0.72 * sizes)])
-                level_trees.append(cKDTree(accepted[-1]))
-        if level_h <= h_min * 1.01:
-            break
-        level_h = max(level_h / 2.0, h_min)
-        if size_floor >= 2.2 * level_h:
-            break       # no size reaches this band or any finer one
+                cand.append(np.stack([X.ravel(), Y.ravel()], axis=-1))
+                level_of.append(np.full(X.size, i))
+    if not cand:
+        return np.empty((0, 2))
+    cand = np.vstack(cand)
+    level_of = np.concatenate(level_of)
+    level_h = np.array(levels)[level_of]
+    sizes = np.atleast_1d(size(cand))
+    keep = sizes >= np.where(level_h > h_min * 1.5, 0.99 * level_h,
+                             h_min * 0.99)
+    keep &= sizes < 2.2 * level_h
+    cand, sizes, level_of = cand[keep], sizes[keep], level_of[keep]
+    if len(cand):
+        inside = _point_in_polygon(cand, polygon)
+        cand, sizes, level_of = cand[inside], sizes[inside], level_of[inside]
+
+    # a candidate with no point within its reach reads inf and is kept, as
+    # its exact distance would keep it; the bound's slack covers the tree's
+    # rounding of squared distances at the edge
+    def clear(tree, pts, pt_sizes):
+        reach = 0.72 * pt_sizes
+        d, _ = tree.query(pts, distance_upper_bound=reach.max() * (1 + 1e-9))
+        return d >= reach
+
+    if len(cand):
+        ok = clear(cKDTree(boundary_pts), cand, sizes)
+        cand, sizes, level_of = cand[ok], sizes[ok], level_of[ok]
+    accepted = []
+    level_trees = []        # one tree per level's accepted points
+    ends = np.searchsorted(level_of, np.arange(len(levels) + 1))
+    for a, b in zip(ends[:-1], ends[1:]):
+        c, s = cand[a:b], sizes[a:b]
+        for tree in level_trees:
+            if not len(c):
+                break
+            ok = clear(tree, c, s)
+            c, s = c[ok], s[ok]
+        if len(c):
+            # enforce mutual spacing within the batch (overlapping center
+            # boxes can even duplicate lattice points exactly)
+            accepted.append(c[_thin(c, 0.72 * s)])
+            level_trees.append(cKDTree(accepted[-1]))
     return np.vstack(accepted) if accepted else np.empty((0, 2))
 
 
@@ -421,12 +438,10 @@ def _mesh_polygon(pieces, size):
         bad = _bad_triangles(allpts, simplices, size.centers)
 
     # conformity: every segment of the boundary loop must appear as an edge
-    n = len(allpts)
-    missing = ~np.isin(_edge_keys(np.arange(nb)[None, :], n),
-                       _edge_keys(simplices, n))
-    if missing.any():
+    lost = _lost_segments(simplices, nb)
+    if lost:
         raise MeshQualityFailure(
-            f"{missing.sum()} boundary segments lost in triangulation")
+            f"{lost} boundary segments lost in triangulation")
     if len(bad):
         raise MeshQualityFailure(
             f"{len(bad)} triangles under {MIN_ANGLE_DEG} deg min angle "
@@ -461,11 +476,26 @@ def _take_visits(simplices, pts, site):
         simplices[t[mine], k[mine]] = v
 
 
+def _lost_segments(simplices, nb):
+    """Number of boundary-loop segments k -> k+1 that no triangle edge covers.
+
+    The loop's points are vertices 0..nb-1 in loop order, so segment k is
+    covered by a triangle edge between k and (k + 1) % nb, in either
+    direction.
+    """
+    a = simplices.ravel()
+    b = simplices[:, [1, 2, 0]].ravel()
+    covered = np.zeros(nb, dtype=bool)
+    for p, q in ((a, b), (b, a)):
+        covered[p[(p < nb) & (q == (p + 1) % nb)]] = True
+    return nb - int(np.count_nonzero(covered))
+
+
 def _edge_keys(cells, n):
     """Unique undirected edges of closed cells as keys i*n + j with i < j.
 
-    ``cells`` holds one closed vertex cycle per row (triangles, or a whole
-    boundary loop); ``n`` bounds the vertex indices.
+    ``cells`` holds one closed vertex cycle per row, such as the triangles;
+    ``n`` bounds the vertex indices.
     """
     cells = np.asarray(cells)
     pairs = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)
@@ -488,15 +518,18 @@ def _min_angles(verts, tris):
     """Smallest interior angle of each triangle, in radians.
 
     arccos decreases, so the angle at the corner of largest cosine is the
-    smallest one, to the bit.
+    smallest one, to the bit.  Corner k lies between the edge vectors
+    e[k] = p[k+1] - p[k] and p[k+2] - p[k] = -e[k-1]; a rounded difference
+    changes sign exactly when its operands swap, so the cosine
+    -(e[k] . e[k-1]) / (|e[k]| |e[k-1]|) has the bits of the direct form,
+    but for the sign of a zero, which arccos maps to the same angle.
     """
-    cosang = np.empty((len(tris), 3))
-    for k in range(3):
-        a = verts[tris[:, k]]
-        u1 = verts[tris[:, (k + 1) % 3]] - a
-        u2 = verts[tris[:, (k + 2) % 3]] - a
-        cosang[:, k] = np.sum(u1 * u2, axis=1) / (
-            np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1) + 1e-300)
+    x, y = verts[tris, 0], verts[tris, 1]
+    ex, ey = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y
+    norm = np.sqrt(ex * ex + ey * ey)
+    prev = [2, 0, 1]
+    cosang = -(ex * ex[:, prev] + ey * ey[:, prev]) / (
+        norm * norm[:, prev] + 1e-300)
     return np.arccos(np.clip(np.max(cosang, axis=1), -1.0, 1.0))
 
 
@@ -553,13 +586,19 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
     are truncated at level lines instead (the cut carries natural boundary).
     A cracked domain is meshed as the one polygon its boundary chain
     describes, which runs up each crack and back down: the crack becomes a
-    slit of duplicated vertices, and ``t`` does not apply.
+    slit of duplicated vertices.  ``t`` on a cracked face, or on a face
+    without a confirmed cusp, would cut nothing and raises ValueError.
     ``critical_points`` is the census the complex was built from.
     """
     if not h > 0:
         raise ValueError(f"mesh size h = {h} must be positive")
     if not grading > 0:
         raise ValueError(f"grading {grading} must be positive")
+    if t is not None and (domain.crack_line_ids or not _cusp_indices(domain)):
+        why = ("is cracked" if domain.crack_line_ids
+               else "has no confirmed cusp")
+        raise ValueError(f"face {domain.index} {why}: truncation at t = {t} "
+                         "would cut nothing")
 
     if domain.crack_line_ids:
         size, pieces = _slit_pieces(domain, h, grading)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from neumann_domains import MorseField, build_complex, load_bundled
+from neumann_domains import (MorseField, build_complex, load_bundled,
+                             mesh_domain)
 from neumann_domains.cracked import build_crack_perturbation, verify_cracked
 
 
@@ -134,3 +135,11 @@ def grid_sign_census(field, n=1024):
         else:
             counts["saddle"] += 1
     return counts
+
+
+@pytest.fixture(scope="session")
+def l17_meshes(lambda17, l17_complex):
+    # every lambda17 face at h = 0.03, the meshes of the 68-face report digest
+    return [mesh_domain(lambda17, face, 0.03,
+                        critical_points=l17_complex.critical_points)
+            for face in l17_complex.faces]

@@ -230,3 +230,27 @@ def test_verify_single_field(tmp_path):
     names = {r["check"] for r in data["results"]["separable"]}
     assert {"euler_relation", "census_idempotent", "angle_sums_2pi",
             "negation_line_hausdorff", "deterministic_report"} <= names
+
+
+def test_truncation_that_cuts_nothing_is_refused(tmp_path, capsys):
+    # the separable square has no cusp to cut; the run once exited 0 with
+    # the uncut spectrum and "t": 0.9 in its report
+    code, out = run(tmp_path, "spectrum", "--field", "separable",
+                    "--seed-grid", "16", "--domain-index", "0",
+                    "--truncate", "0.9")
+    assert code == 2
+    assert "face 0 has no confirmed cusp" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
+def test_truncating_a_cracked_face_is_refused(tmp_path, capsys):
+    code, out = run(tmp_path, "crack", "--field", "separable")
+    assert code == 0
+    crack = json.loads((out / "crack.json").read_text())
+    i = crack["cracked_faces"][0]
+    code, out = run(tmp_path / "t", "spectrum", "--field",
+                    crack["field_file"], "--domain-index", str(i),
+                    "--mesh-h", "0.15", "--truncate", "0.9")
+    assert code == 2
+    assert f"face {i} is cracked" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()

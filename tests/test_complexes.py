@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import neumann_domains.complexes as complexes
 from neumann_domains import (build_complex, cusp_exponent,
                              nodal_neumann_angles, nodal_set)
 from neumann_domains.complexes import CRACKED, DOUBLY_CRACKED, REGULAR
@@ -47,6 +48,17 @@ def test_extrema_read_from_boundary_chain():
         face = NeumannDomain(0, [0, 2, 4, 6], pieces, seq)
         with pytest.raises(EulerMismatch):
             _attach_extrema(face, cps)
+
+
+def test_clockwise_face_walk_raises(separable, monkeypatch):
+    # the face walk keeps each face on its left, so counterclockwise
+    # rotations give counterclockwise faces and reversed ones walk every
+    # face clockwise
+    refine = complexes._refine_tied_order
+    monkeypatch.setattr(complexes, "_refine_tied_order",
+                        lambda lines, ordered: refine(lines, ordered)[::-1])
+    with pytest.raises(EulerMismatch, match="walks clockwise"):
+        build_complex(separable, 16)
 
 
 # sha256 of NeumannComplex.to_json() for the session complexes, recorded

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import neumann_domains.fem as fem
@@ -329,3 +330,32 @@ def test_assembly_bits_unchanged(separable, sep_complex, lambda17,
         {k: v for k, v in cases.items() if k.startswith(group)})
         for group in ASSEMBLY_SHA256}
     assert digests == ASSEMBLY_SHA256
+
+
+def test_bare_mass_product_matches_dot(l17_meshes):
+    rng = np.random.default_rng(7)
+    for mesh in l17_meshes[::5] + [structured_rect_mesh(np.pi, np.pi, 8, 8)]:
+        _, M = assemble_p1(mesh)
+        n = M.shape[0]
+        dot = fem._csr_dot(M)
+        # ARPACK hands over contiguous slices of its work array
+        work = rng.normal(size=3 * n)
+        for x in (work[n:2 * n], np.full(n, 1.0 / np.sqrt(n))):
+            y = dot(x)
+            assert y.dtype == np.float64 and y.shape == (n,)
+            assert y.tobytes() == M.dot(x).tobytes()
+
+
+def test_shifted_matrix_is_the_csr_transpose(l17_meshes):
+    # splu and spsolve took the CSC transpose of the shifted CSR matrix,
+    # which scipy builds from the same three arrays
+    for mesh in l17_meshes[::10]:
+        K, M = assemble_p1(mesh)
+        for a in (0.1, 1.0, -17.0):
+            old = sp.csr_matrix((K.data + a * M.data, K.indices, K.indptr),
+                                shape=K.shape).T
+            new = fem._plus(K, M, a)
+            assert new.format == old.format == "csc"
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(new, attr).tobytes() \
+                    == getattr(old, attr).tobytes()

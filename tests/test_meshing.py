@@ -181,10 +181,12 @@ def test_slit_mesh_duplicated_vertices(crack_field, crack_report):
     assert len(dups) == nL   # tip is shared, root duplicated
 
 
-def test_slit_polygon_meshes_both_sides():
-    # a pi x pi square slit from (pi/2, 0) up to (pi/2, pi/2): the loop runs
-    # up the slit and straight back down, so every slit sample but the tip
-    # is visited twice
+def _slit_square():
+    """A pi x pi square slit from (pi/2, 0) up to (pi/2, pi/2), meshed.
+
+    The loop runs up the slit and straight back down, so every slit sample
+    but the tip is visited twice.  Returns the mesh and the slit samples.
+    """
     a, b = np.pi / 2, np.pi
     corners = [(0, 0), (a, 0), (a, a), (a, 0), (b, 0), (b, b), (0, b), (0, 0)]
     size = _make_size_fn(0.2, 0.5, np.empty((0, 2)))
@@ -192,8 +194,13 @@ def test_slit_polygon_meshes_both_sides():
                "outer") for p, q in zip(corners[:-1], corners[1:])]
     slit = pieces[1][0]
     pieces[1:3] = [(slit, "crack_R"), (slit[::-1], "crack_L")]
-    verts, tris, bedges = _mesh_polygon(pieces, size)
-    mesh = meshing.TriMesh(verts, tris, bedges, 0.2, 0.5)
+    return meshing.TriMesh(*_mesh_polygon(pieces, size), 0.2, 0.5), slit
+
+
+def test_slit_polygon_meshes_both_sides():
+    a = np.pi / 2
+    mesh, slit = _slit_square()
+    verts, tris = mesh.vertices, mesh.triangles
     assert mesh.is_disk()
     coord_count = Counter(map(tuple, verts))
     assert {c for c, n in coord_count.items() if n > 1} \
@@ -499,3 +506,142 @@ def test_interior_points_match_reference_greedy(sep_complex, l17_complex,
         want = _interior_points(*case)
         assert len(want) > 20
         assert got.tobytes() == want.tobytes()
+
+
+def _reference_lost_segments(simplices, nb):
+    """The conformity count from the keys of every triangle edge."""
+    n = max(int(simplices.max()) + 1, nb)
+    return int(np.count_nonzero(~np.isin(
+        meshing._edge_keys(np.arange(nb)[None, :], n),
+        meshing._edge_keys(simplices, n))))
+
+
+def test_lost_segments_match_edge_keys(l17_meshes):
+    rng = np.random.default_rng(5)
+    meshes = l17_meshes + [_slit_square()[0]]
+    lost_total = 0
+    for mesh in meshes:
+        nb = len(mesh.boundary_edges)
+        tris = mesh.triangles
+        assert meshing._lost_segments(tris, nb) == 0
+        assert _reference_lost_segments(tris, nb) == 0
+        # triangles dropped at random lose the boundary segments only they
+        # covered
+        kept = tris[rng.random(len(tris)) >= 0.1]
+        lost = meshing._lost_segments(kept, nb)
+        assert lost == _reference_lost_segments(kept, nb)
+        lost_total += lost
+    assert lost_total > 100
+
+
+def _reference_min_angles(verts, tris):
+    """Each corner's cosine from its own two difference vectors."""
+    cosang = np.empty((len(tris), 3))
+    for k in range(3):
+        a = verts[tris[:, k]]
+        u1 = verts[tris[:, (k + 1) % 3]] - a
+        u2 = verts[tris[:, (k + 2) % 3]] - a
+        cosang[:, k] = np.sum(u1 * u2, axis=1) / (
+            np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1) + 1e-300)
+    return np.arccos(np.clip(np.max(cosang, axis=1), -1.0, 1.0))
+
+
+def test_min_angles_match_reference(l17_meshes):
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(200, 2))
+    # random, flat, right-angled (zero cosines) and collapsed triangles
+    random_tris = rng.integers(0, 200, size=(2000, 3))
+    grid = structured_rect_mesh(np.pi, np.pi, 8, 8)
+    cases = [(m.vertices, m.triangles) for m in l17_meshes]
+    cases += [(pts, random_tris), (grid.vertices, grid.triangles),
+              (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+               np.array([[0, 1, 2], [0, 0, 1], [1, 1, 1]]))]
+    for verts, tris in cases:
+        got = meshing._min_angles(verts, tris)
+        assert got.tobytes() == _reference_min_angles(verts, tris).tobytes()
+
+
+def _reference_interior_points(polygon, boundary_pts, size):
+    """The lattice filters run level by level, every test on every level."""
+    h, h_min, centers = size.h, size.h_min, size.centers
+    lo = polygon.min(axis=0)
+    hi = polygon.max(axis=0)
+    size_floor = h_min if len(centers) else h
+    accepted = []
+    btree = meshing.cKDTree(boundary_pts)
+    level_trees = []
+    level_h = h
+    while True:
+        if level_h >= h * 0.999 or len(centers) == 0:
+            boxes = [(lo, hi)]
+        else:
+            rad = 2.5 * level_h / max(size.grading, 1e-6)
+            boxes = [(np.maximum(c - rad, lo), np.minimum(c + rad, hi))
+                     for c in centers]
+        cand_all = []
+        for blo, bhi in boxes:
+            gx = np.arange(blo[0] + 0.5 * level_h, bhi[0], level_h)
+            gy = np.arange(blo[1] + 0.5 * level_h, bhi[1],
+                           level_h * np.sqrt(3) / 2)
+            if len(gx) and len(gy):
+                X, Y = np.meshgrid(gx, gy, indexing="ij")
+                X[:, 1::2] += 0.5 * level_h
+                cand_all.append(np.stack([X.ravel(), Y.ravel()], axis=-1))
+        if cand_all:
+            cand = np.vstack(cand_all)
+            sizes = np.atleast_1d(size(cand))
+            band = (sizes >= 0.99 * level_h) if level_h > h_min * 1.5 \
+                else (sizes >= h_min * 0.99)
+            band &= sizes < 2.2 * level_h
+            cand, sizes = cand[band], sizes[band]
+            if len(cand):
+                inside = meshing._point_in_polygon(cand, polygon)
+                cand, sizes = cand[inside], sizes[inside]
+            for tree in [btree] + level_trees:
+                if not len(cand):
+                    break
+                reach = 0.72 * sizes
+                d, _ = tree.query(cand,
+                                  distance_upper_bound=reach.max() * (1 + 1e-9))
+                ok = d >= reach
+                cand, sizes = cand[ok], sizes[ok]
+            if len(cand):
+                accepted.append(cand[meshing._thin(cand, 0.72 * sizes)])
+                level_trees.append(meshing.cKDTree(accepted[-1]))
+        if level_h <= h_min * 1.01:
+            break
+        level_h = max(level_h / 2.0, h_min)
+        if size_floor >= 2.2 * level_h:
+            break
+    return np.vstack(accepted) if accepted else np.empty((0, 2))
+
+
+def test_interior_points_match_level_by_level(sep_complex, l17_complex):
+    # every lambda17 face, graded into its cusps or cusp-free, and the
+    # cusp-free square, whose h and h/2 lattices both cover the bounding box
+    cases = [(face, _make_size_fn(0.03, 0.5, _lifted_cusp_points(face)))
+             for face in l17_complex.faces]
+    cases += [(sep_complex.faces[0], _make_size_fn(h, 0.5, np.empty((0, 2))))
+              for h in (np.pi / 32, 0.03)]
+    graded = 0
+    for face, size in cases:
+        polygon, boundary = _face_polygon(face, size)
+        got = _interior_points(polygon, boundary, size)
+        want = _reference_interior_points(polygon, boundary, size)
+        assert len(want) > 20
+        assert got.tobytes() == want.tobytes(), face.index
+        graded += len(size.centers) > 0
+    assert graded == 50
+
+
+def test_truncation_that_cuts_nothing_raises(separable, sep_complex,
+                                             crack_field, crack_report):
+    # a cusp-free face and a cracked face have no cap to cut: mesh_domain
+    # once meshed them whole and still recorded t in the mesh
+    with pytest.raises(ValueError, match="^face 0 has no confirmed cusp"):
+        mesh_domain(separable, sep_complex.faces[0], 0.2, t=0.9,
+                    critical_points=sep_complex.critical_points)
+    face = crack_report.cracked_faces[0]
+    with pytest.raises(ValueError, match=f"^face {face.index} is cracked"):
+        mesh_domain(crack_field, face, 0.15, t=0.9,
+                    critical_points=crack_report.complex.critical_points)
