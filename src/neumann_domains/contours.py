@@ -31,7 +31,7 @@ _ROW_BLOCK = 16            # lattice rows per field evaluation in nodal_set
 # marching squares on the torus
 # ---------------------------------------------------------------------------
 
-def _edge_roots(field, p0, p1, f0, f1, level=0.0):
+def _edge_roots(field, p0, p1, f0, f1, level):
     """Points where f == level on the segments p0[k]-p1[k], one per row.
 
     f0, f1 are the field values at the ends, on either side of the level.
@@ -78,7 +78,7 @@ _CASES[5] = [[(0, 3), (1, 2)], [(0, 1), (2, 3)]]
 _CASES[10] = _CASES[5, ::-1]
 
 
-def nodal_set(field, grid_res=512):
+def nodal_set(field, grid_res):
     """Zero contours of the field as polylines on the torus.
 
     Returns a list of arrays of continuous (unwrapped) coordinates.  Every

@@ -215,7 +215,8 @@ class MorseField:
             raise ValueError("at least one mode is required")
         self.amp = np.array([mo[0] for mo in modes], dtype=float)
         self.wave = np.array([[mo[1], mo[2]] for mo in modes], dtype=float)
-        if not np.allclose(self.wave, np.round(self.wave)):
+        if not (np.isfinite(self.wave).all()
+                and (self.wave == np.round(self.wave)).all()):
             raise ValueError("wave vectors must be integer pairs")
         self.phase = np.array([mo[3] for mo in modes], dtype=float)
         if not (np.all(np.isfinite(self.amp))

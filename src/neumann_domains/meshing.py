@@ -96,8 +96,7 @@ class TruncatedDomain:
     cut arcs carry 'gamma_plus' (near the maximum) or 'gamma_minus'.
     """
 
-    def __init__(self, parent, t, pieces, removed_area):
-        self.parent = parent
+    def __init__(self, t, pieces, removed_area):
         self.t = t
         self.pieces = pieces
         self.removed_area = removed_area
@@ -131,7 +130,7 @@ def truncate_domain(field, domain, t, critical_points):
             ((domain.max_index, "gamma_plus"),
              (domain.min_index, "gamma_minus")) if ci in cusps]
     if not cuts:
-        return TruncatedDomain(domain, t, pieces, 0.0)
+        return TruncatedDomain(t, pieces, 0.0)
 
     vmax = critical_points[domain.max_index].value
     vmin = critical_points[domain.min_index].value
@@ -163,7 +162,7 @@ def truncate_domain(field, domain, t, critical_points):
         pieces.insert(k, arc_before[k])
     removed = abs(domain.area) - abs(polygon_area(
         np.vstack([p for p, _ in pieces])))
-    return TruncatedDomain(domain, t, pieces, removed)
+    return TruncatedDomain(t, pieces, removed)
 
 
 def cusp_length_decay(field, domain, t_list, critical_points):
@@ -195,9 +194,11 @@ def cusp_length_decay(field, domain, t_list, critical_points):
 def _resample_by_size(pts, size):
     """Resample a polyline so spacing tracks the local size field.
 
-    The last two intervals are evened out so no straggler interval much
-    longer than the local size survives at piece ends (those read as flat
-    caps to the triangulator).
+    Samples step by the size at the last one while 1.5 steps or more
+    remain, then the last two intervals share the rest evenly: under a
+    constant size no interval is over 1.25 steps.  The lattice clears
+    boundary points by 0.72 * size, so an interval over 2 * 0.72 * size
+    leaves room for a lattice point on it and a sliver triangle beside it.
     """
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -215,9 +216,7 @@ def _resample_by_size(pts, size):
             break
         arcs.append(arcs[-1] + step)
     if len(arcs) > 1:
-        tail = L - arcs[-2]
-        if tail < 2.4 * max(size(at(L)), 1e-9):
-            arcs[-1] = arcs[-2] + 0.5 * tail   # split the final stretch evenly
+        arcs[-1] = arcs[-2] + 0.5 * (L - arcs[-2])
     out = np.column_stack([np.interp(arcs, cum, xs),
                            np.interp(arcs, cum, ys)])
     return np.vstack([out, pts[-1:]])

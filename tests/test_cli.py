@@ -146,12 +146,15 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["spectrum", "--field", "anisotropic", "--domain-index",
                  "99", "--out", str(tmp_path / "o")]) == 2
     # malformed field files: no modes, not an object, a mode without an
-    # amplitude, an empty perturbation and a null phase
+    # amplitude, an empty perturbation, a null phase and waves that are not
+    # integers (json writes and reads inf as Infinity)
     two_modes = [{"a": 1.0, "m": 1, "n": 0}, {"a": 1.0, "m": 0, "n": 1}]
     for i, bad in enumerate((
             {"foo": 1}, [1, 2], {"modes": [{"m": 1, "n": 0}]},
             {"modes": two_modes, "perturbations": [{}]},
-            {"modes": [{**two_modes[0], "theta": None}, two_modes[1]]})):
+            {"modes": [{**two_modes[0], "theta": None}, two_modes[1]]},
+            {"modes": [{**two_modes[0], "m": float("inf")}, two_modes[1]]},
+            {"modes": [{**two_modes[0], "m": 3.00001}, two_modes[1]]})):
         path = tmp_path / f"bad_field{i}.json"
         path.write_text(json.dumps(bad))
         assert main(["crit", "--field", str(path),

@@ -156,11 +156,27 @@ def test_negation(lambda17):
     {"modes": [{"a": 1.0, "m": 1, "n": 0}], "perturbations": [{}]},
     {"modes": [{"a": 1.0, "m": 1, "n": 0, "theta": None}]},
     {"modes": [{"a": float("inf"), "m": 1, "n": 0}]},
+    {"modes": [{"a": 1.0, "m": float("inf"), "n": 0}]},
+    {"modes": [{"a": 1.0, "m": 3.00001, "n": 0}]},
 ], ids=["no-modes", "list", "no-amplitude", "empty-perturbation",
-        "null-phase", "infinite-amplitude"])
+        "null-phase", "infinite-amplitude", "infinite-wave",
+        "non-integer-wave"])
 def test_malformed_definition_raises_value_error(bad):
     with pytest.raises(ValueError):
         MorseField.from_dict(bad)
+
+
+@pytest.mark.parametrize("m", [float("inf"), float("nan"), 3.00001,
+                               3 + 1e-12])
+def test_wave_vectors_are_exact_integers(m):
+    # a wave off the integers, however slightly, makes the field
+    # non-periodic (with m = 3.00001, f(x + 2 pi) and f(x) differ in the
+    # fifth digit), and to_dict would write it back rounded
+    with pytest.raises(ValueError, match="integer pairs"):
+        MorseField([(1.0, m, 2, 0.0)])
+    with pytest.raises(ValueError, match="integer pairs"):
+        MorseField([(1.0, 2, 0, 0.0), (0.5, 0, m, 0.0)])
+    assert MorseField([(1.0, 3.0, -2, 0.0)]).to_dict()["modes"][0]["m"] == 3
 
 
 PATCH = {"center": [1.0, 2.0], "frame": [[1.0, 0.0], [0.0, 1.0]],

@@ -319,20 +319,61 @@ def test_truncation_keeps_corners(lambda17, l17_complex):
     # the cut edits only the two pieces at the cusped extremum, so every
     # other chain vertex stays a piece end, which resampling keeps; when the
     # pieces were rebuilt from the flattened loop, 101 of these 134 corners
-    # were resampled away.  At t = 0.9, faces 18 and 52 fail to mesh at this
-    # h (one flat triangle beside a corner), so the test cuts at t = 0.95
+    # were resampled away at t = 0.95
     cx = l17_complex
     for face in cx.faces:
         cut = _cusp_indices(face)
         if not cut:
             continue
-        mesh = mesh_domain(lambda17, face, 0.05, t=0.95,
-                           critical_points=cx.critical_points)
-        on_boundary = {tuple(mesh.vertices[i])
-                       for e in mesh.boundary_edges for i in e[:2]}
-        for v, pts in zip(face.vertex_seq, face.pieces):
-            if v not in cut:
-                assert tuple(pts[0]) in on_boundary, (face.index, v)
+        for t in (0.9, 0.95):
+            mesh = mesh_domain(lambda17, face, 0.05, t=t,
+                               critical_points=cx.critical_points)
+            on_boundary = {tuple(mesh.vertices[i])
+                           for e in mesh.boundary_edges for i in e[:2]}
+            for v, pts in zip(face.vertex_seq, face.pieces):
+                if v not in cut:
+                    assert tuple(pts[0]) in on_boundary, (face.index, t, v)
+
+
+# (face, t, h) of truncated lambda17 faces whose resampled pieces once
+# ended in an interval of 1.43-1.49 h: a lattice point could sit on it, and
+# the sliver beside it failed the angle gate, circumcentre repair or not
+TAIL_CASES = [(18, 0.9, 0.05), (52, 0.9, 0.05), (2, 0.9, 0.1),
+              (43, 0.9, 0.1), (9, 0.9, 0.03), (46, 0.9, 0.03),
+              (4, 0.99, 0.03), (44, 0.99, 0.03), (5, 0.8, 0.04),
+              (45, 0.8, 0.04), (24, 0.99, 0.08), (58, 0.99, 0.08)]
+
+
+@pytest.mark.parametrize("face_index, t, h", TAIL_CASES)
+def test_truncated_piece_tails_mesh(lambda17, l17_complex, face_index, t, h):
+    mesh = mesh_domain(lambda17, l17_complex.faces[face_index], h, t=t,
+                       critical_points=l17_complex.critical_points)
+    assert mesh.is_disk()
+
+
+def test_resampled_intervals_clear_the_lattice(lambda17, l17_complex,
+                                               l17_meshes):
+    # the lattice clears boundary points by 0.72 * size, so an interval
+    # longer than 2 * 0.72 * the size at its start leaves room for a lattice
+    # point on it; only the last interval into a cusp, where the size is at
+    # its floor h_min inside the angle gate's exemption, may be longer
+    def check(starts, ends, size):
+        s = size(starts)
+        ratio = np.linalg.norm(ends - starts, axis=1) / s
+        assert np.all((ratio <= 1.44) | (s == size.h_min)), ratio.max()
+
+    cps = l17_complex.critical_points
+    for face_index, t, h in TAIL_CASES:
+        size = _make_size_fn(h, 0.5, [])
+        for pts, _ in truncate_domain(lambda17, l17_complex.faces[face_index],
+                                      t, cps).pieces:
+            out = _resample_by_size(pts, size)
+            check(out[:-1], out[1:], size)
+    # the fixture's boundary loop is its resampled pieces end to end
+    for face, mesh in zip(l17_complex.faces, l17_meshes):
+        size = _make_size_fn(mesh.h, mesh.grading, _lifted_cusp_points(face))
+        i, j = np.array([e[:2] for e in mesh.boundary_edges]).T
+        check(mesh.vertices[i], mesh.vertices[j], size)
 
 
 def test_mirror_faces_truncate_alike(lambda17, l17_complex):
@@ -368,12 +409,15 @@ def test_cusp_free_mesh_memory(separable, sep_complex):
 # geometry differently.  The three truncated digests were re-recorded when
 # truncation began to cut only the two pieces at the cusped extremum: the
 # saddle corners, resampled away before, are now mesh vertices
-# (test_truncation_keeps_corners, test_mirror_faces_truncate_alike)
+# (test_truncation_keeps_corners, test_mirror_faces_truncate_alike).  The
+# cusp-free digest was re-recorded when every piece's last two intervals
+# began to share what is left evenly: that face's mesh went from 462 to 461
+# vertices (test_resampled_intervals_clear_the_lattice)
 MESH_SHA256 = {
     "separable": "783414ba2cdb928bd7457592aa9736bf"
                  "6264eb3227d9e5876927cb46ffbcec32",
-    "lambda17_cusp_free": "11c0259cc782c1d75e483f45f9841494"
-                          "18a2c0d65943a8d8a8c7aa555789deb8",
+    "lambda17_cusp_free": "398c7d95771feb7bface4978a6f60e04"
+                          "793ddbab91bab2ee52de802babe1e9f3",
     "lambda17_cusped": "5a9955a235094f79ad0f8fe16cf640ba"
                        "259d9f4eecae422168775a1d9ca0db7f",
     "lambda17_truncated": "125fe065abd7d2817e303d6f8a25991d"
