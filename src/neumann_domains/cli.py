@@ -8,6 +8,7 @@ error, 3 numerical failure, 4 assertion failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -179,8 +180,9 @@ def cmd_complex(args):
 def _check_mesh_flags(args):
     # ranges the mesher and the eigensolver enforce too, checked here so a
     # bad flag fails before the complex is built
-    if not args.mesh_h > 0:
-        raise ValueError(f"--mesh-h {args.mesh_h} must be positive")
+    if not (args.mesh_h > 0 and math.isfinite(args.mesh_h)):
+        raise ValueError(f"--mesh-h {args.mesh_h} must be finite and "
+                         "positive")
     if args.num_eigs < 1:
         raise ValueError(f"--num-eigs {args.num_eigs} must be at least 1")
     if not 0 < args.cluster_tol < 0.5:
@@ -188,10 +190,13 @@ def _check_mesh_flags(args):
                          "(0, 0.5)")
     if args.truncate is not None and not 0 < args.truncate < 1:
         raise ValueError(f"--truncate {args.truncate} must lie in (0, 1)")
-    if not args.grading > 0:
-        raise ValueError(f"--grading {args.grading} must be positive")
-    if args.lam is not None and not args.lam >= 0:
-        raise ValueError(f"--lam {args.lam} must be non-negative")
+    if not (args.grading > 0 and math.isfinite(args.grading)):
+        raise ValueError(f"--grading {args.grading} must be finite and "
+                         "positive")
+    if args.lam is not None and not (args.lam >= 0
+                                     and math.isfinite(args.lam)):
+        raise ValueError(f"--lam {args.lam} must be finite and "
+                         "non-negative")
 
 
 def _spectrum_report(args):

@@ -5,6 +5,10 @@ is the Galerkin projection of the Dirichlet energy form onto P1 functions,
 so natural (Neumann) conditions hold on every boundary piece, including
 truncation cuts and both sides of a crack slit.  Eigenpairs come from
 shift-invert Lanczos; eigenvalue counts are certified by Sylvester inertia.
+A report factors K - theta M once, at its counting threshold; that the
+guard band below it holds no eigenvalue is proved from the solver's own
+Ritz vectors (Courant-Fischer), with a second factorisation only where
+that proof fails.
 """
 
 import json
@@ -156,6 +160,34 @@ def _inertia(K, M, theta):
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
+def _proves_count_below(K, M, W, theta):
+    """True when span(W) proves p = W.shape[1] eigenvalues below theta.
+
+    By Courant-Fischer, K v = mu M v has at least p eigenvalues below
+    theta when K - theta*M is negative definite on span(W), that is, when
+    the p x p matrix G = W^T (K - theta*M) W is.  G is formed in floating
+    point, so its computed largest eigenvalue must stay below zero by
+
+        delta = (2n + r) u ||C||_F,   C = |W|^T (|K| + theta*M) |W|,
+
+    with u the unit roundoff and r the longest row of K.  Entrywise,
+    forming K - theta*M, the sparse product and the n-term dot products
+    move G by at most gamma_(n+r+2) C; the other n >= 2p covers the
+    symmetrisation and eigvalsh's backward error, a modest multiple of
+    p u ||G||_2 <= p u ||C||_F.  W need not hold eigenvectors, nor be
+    M-orthonormal: a negative definite G forces it to rank p.
+    """
+    n, p = W.shape
+    S = _plus(K, M, -theta)
+    G = W.T @ (S @ W)
+    G = 0.5 * (G + G.T)
+    B = np.abs(W)
+    C = B.T @ (_plus(abs(K), M, theta) @ B)
+    r = int(np.max(np.diff(K.indptr)))
+    delta = (2 * n + r) * (np.finfo(float).eps / 2) * np.linalg.norm(C)
+    return bool(np.linalg.eigvalsh(G)[-1] + delta < 0.0)
+
+
 def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
     """Number of Neumann eigenvalues strictly below lam.
 
@@ -253,19 +285,31 @@ def domain_spectrum_report(field, mesh, lam, k, tol=CLUSTER_TOL):
 
     For lam > 0 the inertia count at lam*(1 - tol) must equal the position
     and the count at lam*(1 - 2 tol): no eigenvalue, found by the solver or
-    not, may lie in the guard band between them.
+    not, may lie in the guard band between them.  Only the first count is
+    factored when it equals the position p: the solver's first p
+    eigenvectors then witness p eigenvalues below lam*(1 - 2 tol)
+    (``_proves_count_below``), and by Sylvester there are at most p, so
+    the band is empty.  Otherwise, or when the witness fails, the second
+    count is factored too and the two compared as they stand.  The witness
+    checks the vectors against K and M alone, so wrong vectors can only
+    send a report down that second factorisation.
     """
     K, M = assemble_p1(mesh)
-    mu, _ = neumann_spectrum(mesh, k, _matrices=(K, M))
+    mu, vecs = neumann_spectrum(mesh, k, _matrices=(K, M))
     position, cluster = spectral_position(mu, lam, tol)
     if lam > 0:
         count = _inertia(K, M, lam * (1.0 - tol))
-        if count != _inertia(K, M, lam * (1.0 - 2.0 * tol)):
-            raise AmbiguousCluster("an eigenvalue lies in the guard band "
-                                   f"below {lam:.6g}; tighten the mesh")
-        if count != position:
-            raise SolverBreakdown(f"{position} eigenvalues found below the "
-                                  f"threshold, {count} by inertia")
+        low = lam * (1.0 - 2.0 * tol)
+        # with no eigenvalue below lam*(1 - tol) there is none in the band
+        proved = count == position and (count == 0 or _proves_count_below(
+            K, M, vecs[:, :count], low))
+        if not proved:
+            if count != _inertia(K, M, low):
+                raise AmbiguousCluster("an eigenvalue lies in the guard band "
+                                       f"below {lam:.6g}; tighten the mesh")
+            if count != position:
+                raise SolverBreakdown(f"{position} eigenvalues found below "
+                                      f"the threshold, {count} by inertia")
     residual = None
     if field.is_eigenfunction:
         residual = restriction_residual(field, mesh, lam, _matrices=(K, M))

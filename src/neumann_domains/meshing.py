@@ -199,27 +199,62 @@ def _resample_by_size(pts, size):
     constant size no interval is over 1.25 steps.  The lattice clears
     boundary points by 0.72 * size, so an interval over 2 * 0.72 * size
     leaves room for a lattice point on it and a sliver triangle beside it.
+
+    Without size-field centers the step is h throughout, and the arcs are
+    the sequential sum that ``np.cumsum`` forms.  With centers each step
+    reads the size at the last sample, placed as ``np.interp`` places it
+    (``_walk_arcs``).
     """
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     L = cum[-1]
 
     xs, ys = np.ascontiguousarray(pts.T)
-
-    def at(s):
-        return (float(np.interp(s, cum, xs)), float(np.interp(s, cum, ys)))
-
-    arcs = [0.0]
-    while True:
-        step = max(size(at(arcs[-1])), 1e-9)
-        if L - arcs[-1] < 1.5 * step:
-            break
-        arcs.append(arcs[-1] + step)
+    if len(size.centers):
+        arcs = _walk_arcs(cum, xs, ys, size)
+    else:
+        step = max(size.h, 1e-9)
+        arcs = np.full(int(L / step) + 3, step)
+        arcs[0] = 0.0
+        arcs = np.cumsum(arcs)
+        # the first arc with less than 1.5 steps left is the last one
+        arcs = arcs[:np.argmax(L - arcs < 1.5 * step) + 1]
     if len(arcs) > 1:
         arcs[-1] = arcs[-2] + 0.5 * (L - arcs[-2])
     out = np.column_stack([np.interp(arcs, cum, xs),
                            np.interp(arcs, cum, ys)])
     return np.vstack([out, pts[-1:]])
+
+
+def _walk_arcs(cum, xs, ys, size):
+    """Arcs stepped by the size at the last one while 1.5 steps remain.
+
+    The arcs only grow, so the segment that holds each one is found by
+    walking on from the last, and the point there has the bits of
+    ``np.interp(s, cum, xs)`` and ``np.interp(s, cum, ys)``: the segment's
+    start where s falls on it, else slope * (s - start) + start value.
+    """
+    cum, xs, ys = cum.tolist(), xs.tolist(), ys.tolist()
+    L = cum[-1]
+    arcs = [0.0]
+    j = 0
+    while True:
+        s = arcs[-1]
+        if s >= L:
+            at = (xs[-1], ys[-1])
+        else:
+            while cum[j + 1] <= s:
+                j += 1
+            if s == cum[j]:
+                at = (xs[j], ys[j])
+            else:
+                d = cum[j + 1] - cum[j]
+                at = ((xs[j + 1] - xs[j]) / d * (s - cum[j]) + xs[j],
+                      (ys[j + 1] - ys[j]) / d * (s - cum[j]) + ys[j])
+        step = max(size(at), 1e-9)
+        if L - s < 1.5 * step:
+            return arcs
+        arcs.append(s + step)
 
 
 def _self_intersects(poly):
@@ -239,8 +274,16 @@ def _interior_points(polygon, boundary_pts, size):
     [0.99*L, 2.2*L).  The lattice at h covers the bounding box; finer ones
     are generated only inside the grading neighbourhoods of the size-field
     centers.  Without centers the size is h everywhere, so only the h and
-    h/2 lattices (both over the bounding box) reach their band, and the
-    descent stops there.
+    h/2 lattices reach their band, and the descent stops there.  Every h
+    point inside the polygon and 0.72*h clear of the boundary is then kept,
+    and the h lattice's covering radius is h/sqrt(3).  So an h/2 point
+    farther than w = (0.72 + 1/sqrt(3))*h + l/2 from every boundary sample,
+    with l the longest boundary interval, lies within h/sqrt(3) < 0.72*h of
+    a kept h point (the boundary runs within l/2 of a sample, so that point
+    is inside and clear too), and its clearance against the h level drops
+    it.  Only the h/2 points within w of a sample are generated: those of
+    the lattice's index boxes around each sample, taken in the lattice's
+    own order, so every kept point keeps its place and its bits.
 
     Within a level, a candidate clears the ones it is kept against by
     0.72 times its own size, and the kept set is the greedy one that takes
@@ -268,22 +311,26 @@ def _interior_points(polygon, boundary_pts, size):
 
     cand, level_of = [], []
     for i, level_h in enumerate(levels):
-        if level_h >= h * 0.999 or len(centers) == 0:
+        near = width = None
+        if level_h >= h * 0.999:
             boxes = [(lo, hi)]
+        elif len(centers) == 0:
+            # the h/2 band, with the relative slack of clear's
+            longest = np.max(np.linalg.norm(np.diff(polygon, axis=0),
+                                            axis=1))
+            boxes, near = [(lo, hi)], boundary_pts
+            width = ((0.72 + 1.0 / np.sqrt(3)) * h
+                     + 0.5 * longest) * (1 + 1e-9)
         else:
             # points at this size level lie within distance ~2.2*level/grading
             rad = 2.5 * level_h / max(size.grading, 1e-6)
             boxes = [(np.maximum(c - rad, lo), np.minimum(c + rad, hi))
                      for c in centers]
         for blo, bhi in boxes:
-            gx = np.arange(blo[0] + 0.5 * level_h, bhi[0], level_h)
-            gy = np.arange(blo[1] + 0.5 * level_h, bhi[1],
-                           level_h * np.sqrt(3) / 2)
-            if len(gx) and len(gy):
-                X, Y = np.meshgrid(gx, gy, indexing="ij")
-                X[:, 1::2] += 0.5 * level_h     # hex offset
-                cand.append(np.stack([X.ravel(), Y.ravel()], axis=-1))
-                level_of.append(np.full(X.size, i))
+            pts = _lattice(blo, bhi, level_h, near, width)
+            if len(pts):
+                cand.append(pts)
+                level_of.append(np.full(len(pts), i))
     if not cand:
         return np.empty((0, 2))
     cand = np.vstack(cand)
@@ -325,6 +372,46 @@ def _interior_points(polygon, boundary_pts, size):
             accepted.append(c[_thin(c, 0.72 * s)])
             level_trees.append(cKDTree(accepted[-1]))
     return np.vstack(accepted) if accepted else np.empty((0, 2))
+
+
+def _lattice(lo, hi, step, near=None, reach=None):
+    """Hex lattice points of spacing step over the box [lo, hi].
+
+    Rows run along x, every other one offset by step/2, and the points come
+    in ``meshgrid(gx, gy, indexing="ij")`` ravel order.  With ``near``, only
+    the points of the index boxes that hold the disc of radius ``reach``
+    about one of those points, in the same order and with the same bits.
+    """
+    pitch = np.array([step, step * np.sqrt(3) / 2])
+    gx = np.arange(lo[0] + 0.5 * step, hi[0], pitch[0])
+    gy = np.arange(lo[1] + 0.5 * step, hi[1], pitch[1])
+    if not (len(gx) and len(gy)):
+        return np.empty((0, 2))
+    if near is None:
+        X, Y = np.meshgrid(gx, gy, indexing="ij")
+        X[:, 1::2] += 0.5 * step
+        return np.stack([X.ravel(), Y.ravel()], axis=-1)
+    # each box [i0, i1) x [j0, j1) adds 1 on a difference array; the x
+    # range also takes the offset rows' points
+    origin = np.array([gx[0], gy[0]])
+    shape = np.array([len(gx), len(gy)])
+    first = np.floor((near - reach - origin - [0.5 * step, 0.0]) / pitch)
+    last = np.ceil((near + reach - origin) / pitch) + 1
+    (i0, j0), (i1, j1) = (np.clip(first, 0, shape).astype(int).T,
+                          np.clip(last, 0, shape).astype(int).T)
+    ok = (i0 < i1) & (j0 < j1)
+    i0, j0, i1, j1 = i0[ok], j0[ok], i1[ok], j1[ok]
+    marks = np.zeros(shape + 1, dtype=np.int32)
+    np.add.at(marks, (i0, j0), 1)
+    np.add.at(marks, (i1, j0), -1)
+    np.add.at(marks, (i0, j1), -1)
+    np.add.at(marks, (i1, j1), 1)
+    covered = marks.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
+    i, j = np.nonzero(covered)
+    x = gx[i]
+    odd = j % 2 == 1
+    x[odd] += 0.5 * step
+    return np.stack([x, gy[j]], axis=-1)
 
 
 def _thin(cand, r):
@@ -589,10 +676,12 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
     without a confirmed cusp, would cut nothing and raises ValueError.
     ``critical_points`` is the census the complex was built from.
     """
-    if not h > 0:
-        raise ValueError(f"mesh size h = {h} must be positive")
-    if not grading > 0:
-        raise ValueError(f"grading {grading} must be positive")
+    # an infinite grading makes the size NaN at a cusp, and the resampler
+    # would then step by NaN for ever
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"mesh size h = {h} must be finite and positive")
+    if not (grading > 0 and math.isfinite(grading)):
+        raise ValueError(f"grading {grading} must be finite and positive")
     if t is not None and (domain.crack_line_ids or not _cusp_indices(domain)):
         why = ("is cracked" if domain.crack_line_ids
                else "has no confirmed cusp")

@@ -175,9 +175,10 @@ def test_exit_codes(tmp_path, monkeypatch):
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",
                  "--out", str(tmp_path / "o")]) == 3
 
-    # out-of-range mesh size, eigenvalue count, cluster tolerance,
-    # truncation level, grading, eigenvalue and nodal grid: rejected before
-    # the complex is built
+    # out-of-range or infinite mesh size, eigenvalue count, cluster
+    # tolerance, truncation level, grading, eigenvalue and nodal grid:
+    # rejected before the complex is built (an infinite grading once hung
+    # the mesher on a cusped face)
     def no_build(*args, **kwargs):
         raise AssertionError("build_complex ran for a bad flag")
 
@@ -185,15 +186,17 @@ def test_exit_codes(tmp_path, monkeypatch):
     quick = ["--field", "separable", "--seed-grid", "16", "--out",
              str(tmp_path / "o")]
     for flags in (["--mesh-h", "0"], ["--mesh-h", "-0.1"],
-                  ["--mesh-h", "nan"],
+                  ["--mesh-h", "nan"], ["--mesh-h", "inf"],
                   ["--mesh-h", "0.3", "--num-eigs", "0"],
                   ["--mesh-h", "0.3", "--num-eigs", "4", "--cluster-tol",
                    "0.6"],
                   ["--cluster-tol", "0.5"], ["--cluster-tol", "0"],
                   ["--truncate", "0"], ["--truncate", "1"],
-                  ["--truncate", "-0.5"], ["--lam", "-1"],
+                  ["--truncate", "-0.5"], ["--lam", "-1"], ["--lam", "inf"],
                   ["--grading", "0"], ["--grading", "-1"],
-                  ["--grading", "nan"]):
+                  ["--grading", "nan"], ["--grading", "inf"],
+                  ["--domain-index", "5", "--mesh-h", "0.1", "--grading",
+                   "inf"]):
         for command in ("position", "spectrum"):
             assert main([command, *quick, *flags]) == 2, (command, flags)
     for res in ("0", "1", "7"):

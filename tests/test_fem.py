@@ -220,6 +220,51 @@ def test_report_count_checked_by_inertia(separable, monkeypatch):
         domain_spectrum_report(separable, mesh, lam, 9)
 
 
+def test_ritz_witness_proves_the_guard_band(separable, sep_complex,
+                                           l17_meshes):
+    # every lambda17 face at h = 0.03 and the benchmark's three squares
+    cases = [(mesh, 17.0, 12) for mesh in l17_meshes]
+    cases += [(mesh_domain(separable, sep_complex.faces[0], h,
+                           critical_points=sep_complex.critical_points),
+               1.0, 9) for h in (np.pi / 32, np.pi / 64, 0.03)]
+    for i, (mesh, lam, k) in enumerate(cases):
+        K, M = assemble_p1(mesh)
+        mu, vecs = neumann_spectrum(mesh, k, _matrices=(K, M))
+        p, _ = spectral_position(mu, lam)
+        low = lam * (1.0 - 2.0 * fem.CLUSTER_TOL)
+        assert fem._proves_count_below(K, M, vecs[:, :p], low), i
+        assert _inertia(K, M, low) == p, i
+        # one eigenvector too many: mu[p] lies above the threshold
+        assert not fem._proves_count_below(K, M, vecs[:, :p + 1], low), i
+
+
+def test_report_without_witness_falls_back(separable, sep_complex, lambda17,
+                                          l17_complex, monkeypatch):
+    # random vectors in place of the eigenvectors prove nothing, so the
+    # report factors the second count, and its JSON keeps its bits
+    cases = _spectrum_cases(separable, sep_complex, lambda17, l17_complex)
+    calls = []
+    inertia = fem._inertia
+
+    def counted(*args):
+        calls.append(args[2])
+        return inertia(*args)
+
+    def scrambled(mesh, k, **kwargs):
+        mu, vecs = neumann_spectrum(mesh, k, **kwargs)
+        return mu, np.random.default_rng(4).normal(size=vecs.shape)
+
+    monkeypatch.setattr(fem, "_inertia", counted)
+    for spectrum, n_calls in ((neumann_spectrum, 1), (scrambled, 2)):
+        monkeypatch.setattr(fem, "neumann_spectrum", spectrum)
+        for name, (field, mesh, lam, k) in cases.items():
+            calls.clear()
+            rep = domain_spectrum_report(field, mesh, lam, k)
+            digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+            assert digest == REPORT_SHA256[name], name
+            assert rep.position > 0 and len(calls) == n_calls, name
+
+
 def _spectrum_cases(separable, sep_complex, lambda17, l17_complex):
     cusped = next(f for f in l17_complex.faces
                   if any(c["confirmed"] for c in f.cusps))

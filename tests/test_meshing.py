@@ -241,12 +241,24 @@ def test_structured_mesh_is_disk():
     assert np.sum(mesh.triangle_areas()) == pytest.approx(np.pi ** 2)
 
 
-def test_mesh_domain_rejects_bad_sizes(separable, sep_complex):
-    face = sep_complex.faces[0]
-    for h, grading in ((0.0, 0.5), (0.3, 0.0), (0.3, -1.0), (0.3, np.nan)):
-        with pytest.raises(ValueError):
-            mesh_domain(separable, face, h, grading,
-                        critical_points=sep_complex.critical_points)
+def test_mesh_domain_rejects_bad_sizes(separable, sep_complex, lambda17,
+                                      l17_complex, monkeypatch):
+    # before any resampling: an infinite grading made the size NaN at a
+    # cusp, and the resampler stepped by NaN until memory ran out
+    def no_resample(*args):
+        raise AssertionError("resampled with a bad size")
+
+    monkeypatch.setattr(meshing, "_resample_by_size", no_resample)
+    cusped = l17_complex.faces[5]
+    assert _cusp_indices(cusped)
+    for field, cx, face in ((separable, sep_complex, sep_complex.faces[0]),
+                            (lambda17, l17_complex, cusped)):
+        for h, grading in ((0.0, 0.5), (0.3, 0.0), (0.3, -1.0),
+                           (0.3, np.nan), (0.3, np.inf), (np.inf, 0.5),
+                           (-np.inf, 0.5)):
+            with pytest.raises(ValueError):
+                mesh_domain(field, face, h, grading,
+                            critical_points=cx.critical_points)
 
 
 def test_self_intersection_guard():
@@ -374,6 +386,54 @@ def test_resampled_intervals_clear_the_lattice(lambda17, l17_complex,
         size = _make_size_fn(mesh.h, mesh.grading, _lifted_cusp_points(face))
         i, j = np.array([e[:2] for e in mesh.boundary_edges]).T
         check(mesh.vertices[i], mesh.vertices[j], size)
+
+
+def _reference_resample_by_size(pts, size):
+    """The resampler's step loop with two np.interp calls per step."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    L = cum[-1]
+    xs, ys = np.ascontiguousarray(pts.T)
+
+    def at(s):
+        return (float(np.interp(s, cum, xs)), float(np.interp(s, cum, ys)))
+
+    arcs = [0.0]
+    while True:
+        step = max(size(at(arcs[-1])), 1e-9)
+        if L - arcs[-1] < 1.5 * step:
+            break
+        arcs.append(arcs[-1] + step)
+    if len(arcs) > 1:
+        arcs[-1] = arcs[-2] + 0.5 * (L - arcs[-2])
+    out = np.column_stack([np.interp(arcs, cum, xs),
+                           np.interp(arcs, cum, ys)])
+    return np.vstack([out, pts[-1:]])
+
+
+def test_resample_matches_step_loop(l17_complex):
+    # random walks, some with a repeated point, and the pieces of every
+    # fourth lambda17 face, each graded into random centres and at a
+    # constant size; a piece shorter than a step and one of zero length
+    rng = np.random.default_rng(8)
+    cases = []
+    for trial in range(200):
+        pts = np.cumsum(rng.normal(size=(rng.integers(2, 30), 2))
+                        * rng.uniform(0.01, 1.0), axis=0)
+        if trial % 4 == 0:
+            k = rng.integers(0, len(pts))
+            pts = np.insert(pts, k, pts[k], axis=0)
+        cases.append(pts)
+    cases += [p for face in l17_complex.faces[::4] for p in face.pieces]
+    cases += [np.array([[0.0, 0.0], [0.04, 0.0]]),
+              np.array([[1.0, 1.0], [1.0, 1.0]])]
+    for i, pts in enumerate(cases):
+        centres = pts[rng.integers(0, len(pts), size=rng.integers(1, 3))]
+        for size in (_make_size_fn(0.05, rng.uniform(0.1, 1.0), centres),
+                     _make_size_fn(rng.uniform(0.01, 0.5), 0.5, [])):
+            got = _resample_by_size(pts, size)
+            assert got.tobytes() == _reference_resample_by_size(
+                pts, size).tobytes(), i
 
 
 def test_mirror_faces_truncate_alike(lambda17, l17_complex):
@@ -507,10 +567,10 @@ def _reference_thin(cand, r):
     return taken
 
 
-def _face_polygon(face, size):
-    """Boundary and closed polygon of a face as mesh_domain samples them."""
-    boundary = np.vstack([_resample_by_size(p, size)[:-1]
-                          for p in face.pieces])
+def _face_polygon(pieces, size):
+    """Boundary and closed polygon of a face's pieces as mesh_domain
+    samples them."""
+    boundary = np.vstack([_resample_by_size(p, size)[:-1] for p in pieces])
     return np.vstack([boundary, boundary[:1]]), boundary
 
 
@@ -531,7 +591,7 @@ def test_interior_points_match_reference_greedy(sep_complex, l17_complex,
                                               _lifted_cusp_points(cusped))),
                        (sep_complex.faces[0],
                         _make_size_fn(np.pi / 32, 0.5, np.empty((0, 2))))):
-        cases.append((*_face_polygon(face, size), size))
+        cases.append((*_face_polygon(face.pieces, size), size))
     # lattice spacing 1/4 and clearance 0.72 * size = 1/4 exactly: every
     # x-neighbour sits on the edge of the other's clearance ball
     side = np.linspace(0.0, 4.0, 65)[:-1]
@@ -660,22 +720,116 @@ def _reference_interior_points(polygon, boundary_pts, size):
     return np.vstack(accepted) if accepted else np.empty((0, 2))
 
 
-def test_interior_points_match_level_by_level(sep_complex, l17_complex):
-    # every lambda17 face, graded into its cusps or cusp-free, and the
-    # cusp-free square, whose h and h/2 lattices both cover the bounding box
-    cases = [(face, _make_size_fn(0.03, 0.5, _lifted_cusp_points(face)))
-             for face in l17_complex.faces]
-    cases += [(sep_complex.faces[0], _make_size_fn(h, 0.5, np.empty((0, 2))))
+def _long_interval_polygon(h):
+    """A five-armed star sampled at about 1.44 h, the longest interval the
+    resampler leaves, so the h/2 band's half-interval term is needed."""
+    t = np.linspace(0.0, 2 * np.pi, 4000)
+    curve = (2.0 + 0.6 * np.cos(5 * t))[:, None] * np.column_stack(
+        [np.cos(t), np.sin(t)])
+    boundary = _resample_by_size(curve, _make_size_fn(1.44 * h, 0.5, []))
+    boundary = boundary[:-1]
+    return np.vstack([boundary, boundary[:1]]), boundary
+
+
+def test_interior_points_match_level_by_level(sep_complex, aniso_complex,
+                                              lambda17, l17_complex):
+    # every lambda17 and anisotropic face, graded into its cusps or
+    # cusp-free, truncated lambda17 faces, the cusp-free square and a star
+    # with long boundary intervals; without grading centres only the h/2
+    # points near the boundary are generated
+    no_centres = np.empty((0, 2))
+    cases = [(face.pieces, _make_size_fn(h, 0.5, _lifted_cusp_points(face)))
+             for cx, h in ((l17_complex, 0.03), (aniso_complex, 0.1))
+             for face in cx.faces]
+    cusped = [f for f in l17_complex.faces if _cusp_indices(f)]
+    truncated = 0
+    for t in (0.5, 0.9):
+        for h in (0.03, 0.05):
+            for face in cusped[::7]:
+                try:
+                    cut = truncate_domain(lambda17, face, t,
+                                          l17_complex.critical_points)
+                except ExceptionalLevel:
+                    continue
+                cases.append(([p for p, _ in cut.pieces],
+                              _make_size_fn(h, 0.5, no_centres)))
+                truncated += 1
+    cases += [(sep_complex.faces[0].pieces, _make_size_fn(h, 0.5, no_centres))
               for h in (np.pi / 32, 0.03)]
+    polygons = [(*_face_polygon(pieces, size), size) for pieces, size in cases]
+    star = _long_interval_polygon(0.1)
+    polygons.append((*star, _make_size_fn(0.1, 0.5, no_centres)))
+    assert np.max(np.linalg.norm(np.diff(star[0], axis=0), axis=1)) > 1.4 * 0.1
     graded = 0
-    for face, size in cases:
-        polygon, boundary = _face_polygon(face, size)
+    for i, (polygon, boundary, size) in enumerate(polygons):
         got = _interior_points(polygon, boundary, size)
         want = _reference_interior_points(polygon, boundary, size)
         assert len(want) > 20
-        assert got.tobytes() == want.tobytes(), face.index
+        assert got.tobytes() == want.tobytes(), i
         graded += len(size.centers) > 0
-    assert graded == 50
+    assert graded == 50 and truncated == 32
+
+
+def test_h2_points_beyond_the_band_are_covered():
+    # the band's argument on the star: an h/2 point inside the polygon and
+    # farther than w from every boundary sample lies within 0.72 h of an h
+    # point inside the polygon and 0.72 h clear of the boundary
+    h = 0.1
+    polygon, boundary = _long_interval_polygon(h)
+    lo, hi = polygon.min(axis=0), polygon.max(axis=0)
+    tree = meshing.cKDTree(boundary)
+    coarse = meshing._lattice(lo, hi, h)
+    coarse = coarse[meshing._point_in_polygon(coarse, polygon)]
+    coarse = coarse[tree.query(coarse)[0] >= 0.72 * h]
+    fine = meshing._lattice(lo, hi, h / 2)
+    fine = fine[meshing._point_in_polygon(fine, polygon)]
+    half = 0.5 * np.max(np.linalg.norm(np.diff(polygon, axis=0), axis=1))
+    w = (0.72 + 1 / np.sqrt(3)) * h + half
+    d = tree.query(fine)[0]
+    assert np.count_nonzero((d > w - half) & (d <= w)) > 100
+    beyond = fine[d > w]
+    assert len(beyond) > 1000
+    assert np.all(meshing.cKDTree(coarse).query(beyond)[0] < 0.72 * h)
+
+
+def test_cusp_free_h2_lattice_only_near_the_boundary(sep_complex,
+                                                     monkeypatch):
+    # on the 0.03 square the h/2 bounding-box lattice has 50,578 points
+    # and about 2 % of them are kept
+    size = _make_size_fn(0.03, 0.5, np.empty((0, 2)))
+    polygon, boundary = _face_polygon(sep_complex.faces[0].pieces, size)
+    lo, hi = polygon.min(axis=0), polygon.max(axis=0)
+    seen = []
+    point_in_polygon = meshing._point_in_polygon
+
+    def counted(points, poly):
+        seen.append(len(points))
+        return point_in_polygon(points, poly)
+
+    monkeypatch.setattr(meshing, "_point_in_polygon", counted)
+    _interior_points(polygon, boundary, size)
+    box_h = len(meshing._lattice(lo, hi, 0.03))
+    box_h2 = len(meshing._lattice(lo, hi, 0.015))
+    assert box_h2 > 50000
+    assert seen[0] - box_h < 0.1 * box_h2
+
+
+def test_lattice_band_keeps_order_and_bits():
+    rng = np.random.default_rng(2)
+    lo, hi = np.array([-1.0, 0.5]), np.array([2.0, 3.0])
+    step = 0.07
+    full = meshing._lattice(lo, hi, step)
+    near = np.vstack([rng.uniform(lo - 0.3, hi + 0.3, size=(40, 2)),
+                      [lo, hi]])
+    reach = 0.23
+    band = meshing._lattice(lo, hi, step, near, reach)
+    d = np.min(np.linalg.norm(full[:, None, :] - near, axis=-1), axis=1)
+    # the band is a subsequence of the full lattice, bit for bit
+    rows = {p.tobytes(): k for k, p in enumerate(full)}
+    where = np.array([rows[p.tobytes()] for p in band])
+    assert np.all(np.diff(where) > 0)
+    assert np.all(np.isin(np.flatnonzero(d <= reach), where))
+    assert 0 < len(band) < len(full)
 
 
 def test_truncation_that_cuts_nothing_raises(separable, sep_complex,
