@@ -160,7 +160,7 @@ def cmd_complex(args):
     field = _load_field(args)
     cx = build_complex(field, args.seed_grid)
     nodal = nodal_set(field, args.grid_res)
-    angles = nodal_neumann_angles(cx, nodal) if nodal else []
+    angles = nodal_neumann_angles(cx, nodal)
     payload = cx.to_dict()
     payload["nodal_polyline_count"] = len(nodal)
     payload["nodal_neumann_angles"] = [

@@ -274,9 +274,9 @@ def polyline_intersections(lines_a, lines_b):
 
     Returns (point, dir_a, dir_b) triples where the directions are local
     secants of each curve over +-SECANT_ARC around the crossing, ordered by
-    the segment of lines_b, then of lines_a.  Input polylines are continuous
-    (unwrapped) coordinate arrays; lines_a is tested on chords over every
-    POLYLINE_COARSEN-th sample.
+    the segment of lines_b, then of lines_a, and none when either family is
+    empty.  Input polylines are continuous (unwrapped) coordinate arrays;
+    lines_a is tested on chords over every POLYLINE_COARSEN-th sample.
     """
     def secant(pts, idx, arc):
         cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -288,6 +288,8 @@ def polyline_intersections(lines_a, lines_b):
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
 
+    if not (len(lines_a) and len(lines_b)):
+        return []
     la, ka, p0, p1 = geometry.chords(lines_a, POLYLINE_COARSEN)
     lb, kb, q0, q1 = geometry.chords(lines_b, 1)
     ib, ia, shift = geometry.candidate_pairs(q0, q1, p0, p1)

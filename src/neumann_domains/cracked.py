@@ -39,20 +39,28 @@ def build_crack_perturbation(field, center, scale, K):
     PatchContainsCriticalPoint / AmplitudeTooSmall / PatchTooLarge when the
     construction hypotheses fail, and ValueError unless ``center`` is two
     finite numbers, ``scale`` is finite and positive and ``K`` is finite.
+    A centre where the base gradient vanishes has no frame, and a patch
+    where |grad f| drops under 5% of its largest value holds (or nearly
+    holds) a critical point; both raise PatchContainsCriticalPoint.
     """
     center, scale, K, _, _ = _crack_params(center, scale, K)
     g0 = field.gradient(center)
     gn = np.linalg.norm(g0)
+    if gn == 0.0:
+        raise PatchContainsCriticalPoint(
+            f"grad f vanishes at the patch centre ({center[0]:.6g}, "
+            f"{center[1]:.6g})")
     e1 = g0 / gn
     e2 = np.array([-e1[1], e1[0]])
     frame = np.stack([e1, e2], axis=1)
 
     pts, lxy = _patch_grid(center, frame, scale)
-    grads = field.gradient(pts)
-    gmin = float(np.min(np.linalg.norm(grads, axis=1)))
-    if gmin < 0.05 * gn:
+    gnorm = np.linalg.norm(field.gradient(pts), axis=1)
+    gmin, gmax = float(np.min(gnorm)), float(np.max(gnorm))
+    if gmin < 0.05 * gmax:
         raise PatchContainsCriticalPoint(
-            f"|grad f| drops to {gmin:.3g} inside the patch")
+            f"|grad f| drops to {gmin:.3g} inside the patch, under 5% of "
+            f"its largest value {gmax:.3g}")
 
     A = gn * scale     # base slope in local units
     if abs(K) * EFFECTIVE_PEAK <= A:

@@ -141,34 +141,34 @@ def _seed_lattice(field, n):
     return seeds
 
 
-def find_critical_points(field, seed_grid=24, check_refinement=True):
+def find_critical_points(field, seed_grid=24):
     """Locate and classify all critical points of the field.
 
     Newton iteration runs from a ``seed_grid`` x ``seed_grid`` lattice; roots
     are deduplicated on the torus and classified through the exact Hessian.
-    With ``check_refinement`` the census is recomputed on the doubled lattice
-    and must agree (raises SeedGridTooCoarse otherwise).
+    The census is recomputed on the doubled lattice and must agree (raises
+    SeedGridTooCoarse otherwise).
     """
     if seed_grid < 8:
         raise ValueError("seed_grid must be at least 8")
     pts = _census(field, seed_grid)
-    if check_refinement:
-        pts2 = _census(field, 2 * seed_grid)
-        if len(pts) != len(pts2):
-            raise SeedGridTooCoarse(
-                f"{len(pts)} roots at n={seed_grid} but {len(pts2)} at "
-                f"n={2 * seed_grid}")
-        a = np.array([p.position for p in pts])
-        b = np.array([p.position for p in pts2])
-        d = torus.pairwise_dist(a, b)
-        if np.max(np.min(d, axis=1)) > DEDUP_RADIUS:
-            raise SeedGridTooCoarse("root positions moved under refinement")
+    pts2 = _census(field, 2 * seed_grid)
+    if len(pts) != len(pts2):
+        raise SeedGridTooCoarse(
+            f"{len(pts)} roots at n={seed_grid} but {len(pts2)} at "
+            f"n={2 * seed_grid}")
+    a = np.array([p.position for p in pts])
+    b = np.array([p.position for p in pts2])
+    d = torus.pairwise_dist(a, b)
+    if np.max(np.min(d, axis=1)) > DEDUP_RADIUS:
+        raise SeedGridTooCoarse("root positions moved under refinement")
     for i, p in enumerate(pts):
         p.index = i
     return pts
 
 
 def _census(field, n):
+    """Classified roots from an n x n seed lattice, in (x, y) order."""
     roots = _newton_batch(field, _seed_lattice(field, n))
     if len(roots) == 0:
         raise NotMorse("no critical points found; field may be degenerate")

@@ -336,7 +336,7 @@ def _interior_points(polygon, boundary_pts, size):
     cand = np.vstack(cand)
     level_of = np.concatenate(level_of)
     level_h = np.array(levels)[level_of]
-    sizes = np.atleast_1d(size(cand))
+    sizes = size(cand)
     keep = sizes >= np.where(level_h > h_min * 1.5, 0.99 * level_h,
                              h_min * 0.99)
     keep &= sizes < 2.2 * level_h
@@ -636,9 +636,9 @@ def _make_size_fn(h, grading, centers):
     grading * distance near them, down to h_min = h / H_MIN_FACTOR; the
     centers' neighbourhoods are also exempt from the angle gate.  The
     returned callable exposes h, h_min, grading and centers.  It takes an
-    array of points, or one point as a tuple (x, y) for a float; the tuple
-    path does the array path's operations in the same order, so the two
-    agree to the bit.
+    (N, 2) array of points for N sizes, or one point as a tuple (x, y) for
+    a float; the tuple path does the array path's operations in the same
+    order, so the two agree to the bit.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     h_min = h / H_MIN_FACTOR
@@ -654,8 +654,6 @@ def _make_size_fn(h, grading, centers):
             return min(max(grading * d, h_min), h)
         p = np.asarray(p, dtype=float)
         if len(centers) == 0:
-            if p.ndim == 1:
-                return h
             return np.full(len(p), h)
         d = np.min(np.linalg.norm(p[..., None, :] - centers, axis=-1), axis=-1)
         return np.clip(grading * d, h_min, h)

@@ -4,7 +4,7 @@ import numpy as np
 
 from . import torus
 from .complexes import build_complex
-from .critical import MAX, MIN, find_critical_points
+from .critical import MAX, MIN, _census
 from .geometry import _point_in_polygon, _tree
 
 HAUSDORFF_TOL = 1e-4
@@ -71,7 +71,7 @@ def run_invariants(field, seed_grid=24, rng_seed=7):
     # idempotent critical point census under seed doubling; the build has
     # just run the (deterministic) census at seed_grid
     pts1 = cx.critical_points
-    pts2 = find_critical_points(field, 2 * seed_grid, check_refinement=False)
+    pts2 = _census(field, 2 * seed_grid)
     same = len(pts1) == len(pts2)
     if same:
         d = torus.pairwise_dist(np.array([p.position for p in pts1]),

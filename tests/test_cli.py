@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_explicit_flag_at_default_beats_config(config_run):
     assert code == 0 and args["mesh_h"] == 0.06
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     # 2: configuration problems
     assert main(["crit", "--field", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -174,6 +175,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",
                  "--out", str(tmp_path / "o")]) == 3
+    # a crack centred on a critical point, refused before its frame is
+    # formed from the vanishing gradient, so no warning reaches stderr
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["crack", "--field", "separable", "--center", "0,0",
+                     "--out", str(tmp_path / "o")]) == 3
+    assert "Warning" not in capsys.readouterr().err
 
     # out-of-range or infinite mesh size, eigenvalue count, cluster
     # tolerance, truncation level, grading, eigenvalue and nodal grid:

@@ -300,6 +300,12 @@ def test_nodal_neumann_angles_separable(sep_complex, separable):
         assert min(d) < 1e-6
 
 
+def test_nodal_neumann_angles_of_an_empty_nodal_set(sep_complex):
+    # a field of fixed sign has no nodal lines, so nothing meets its
+    # Neumann lines
+    assert nodal_neumann_angles(sep_complex, []) == []
+
+
 # sha256 of the JSON list of [[x, y], angle] of the lambda17 nodal/Neumann
 # meeting angles, rounded to 9 digits as in the complex report; recorded
 # with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -95,8 +97,12 @@ def test_patch_too_large(separable):
 
 
 def test_patch_contains_critical_point(separable):
-    with pytest.raises(PatchContainsCriticalPoint):
-        build_crack_perturbation(separable, (0.15, 0.15), 0.3, 60.0)
+    # near a critical point, on each of the separable field's four (where
+    # the gradient vanishes or is roundoff), and just off one
+    for center in ((0.15, 0.15), (0.0, 0.0), (np.pi, 0.0), (0.0, np.pi),
+                   (np.pi, np.pi), (1e-4, 1e-4)):
+        with pytest.raises(PatchContainsCriticalPoint):
+            build_crack_perturbation(separable, center, 0.3, 60.0)
 
 
 def test_field_unchanged_outside_patch(separable, crack_field):
@@ -216,15 +222,21 @@ CENSUS_H = (0.08, 0.1, 0.12, 0.15)
 _cracks = {}
 
 
+def _crack(separable, center, scale, K):
+    """(field, verify_cracked report, spectra by h), built once per
+    (centre, scale, K) for every test that asks for it."""
+    if (center, scale, K) not in _cracks:
+        field = build_crack_perturbation(separable, center, scale, K)
+        _cracks[center, scale, K] = (field, verify_cracked(field, 24), {})
+    return _cracks[center, scale, K]
+
+
 def _slit_spectrum(separable, center, scale, K, h):
     """Slit mesh of the cracked face and its lowest 4 eigenpairs.
 
     One crack construction per (centre, scale, K) serves every h.
     """
-    if (center, scale, K) not in _cracks:
-        field = build_crack_perturbation(separable, center, scale, K)
-        _cracks[center, scale, K] = (field, verify_cracked(field, 24), {})
-    field, rep, spectra = _cracks[center, scale, K]
+    field, rep, spectra = _crack(separable, center, scale, K)
     if h not in spectra:
         mesh = mesh_domain(field, rep.cracked_faces[0], h,
                            critical_points=rep.complex.critical_points)
@@ -279,3 +291,20 @@ def test_small_cracked_face_meshes(separable, center, K):
 @pytest.mark.parametrize("center", CRACK_CENTRES[::2], ids=CENTRE_IDS[::2])
 def test_small_mirror_cracks_share_spectrum(separable, center, K):
     _assert_mirror_spectra(separable, center, K, 0.15)
+
+
+# sha256 over the complexes of the sixteen diagonal cracks, recorded with
+# Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; their lines run through the
+# flow kernel, the census and the crack patch checks
+CRACK_COMPLEX_SHA256 = ("97a9b6f75c0f57b635766c3d3c258063"
+                        "5dbb8c0cb409c41c5f456e1f3e30c54b")
+
+
+def test_crack_complex_digest_unchanged(separable):
+    digest = hashlib.sha256()
+    for scale in (0.3, 0.15):
+        for center in CRACK_CENTRES:
+            for K in (12.0, -12.0):
+                rep = _crack(separable, center, scale, K)[1]
+                digest.update(rep.complex.to_json().encode())
+    assert digest.hexdigest() == CRACK_COMPLEX_SHA256

@@ -5,7 +5,7 @@ from conftest import grid_sign_census
 from neumann_domains import MorseField, euler_check, find_critical_points
 from neumann_domains import torus
 from neumann_domains.critical import (DEDUP_RADIUS, MAX, MIN, SADDLE,
-                                      CriticalPoint, _dedup)
+                                      CriticalPoint, _census, _dedup)
 from neumann_domains.errors import NotMorse, SeedGridTooCoarse
 
 
@@ -115,8 +115,8 @@ def test_dedup_matches_brute_force_rule():
 
 
 def test_census_idempotent_under_refinement(lambda17):
-    a = find_critical_points(lambda17, 24, check_refinement=False)
-    b = find_critical_points(lambda17, 48, check_refinement=False)
+    a = _census(lambda17, 24)
+    b = _census(lambda17, 48)
     assert len(a) == len(b)
     pa = np.array([p.position for p in a])
     pb = np.array([p.position for p in b])
