@@ -36,15 +36,19 @@ REGULAR, CRACKED, DOUBLY_CRACKED = "regular", "cracked", "doublyCracked"
 class NeumannDomain:
     """One face of the partition: boundary chain, extrema, classification.
 
-    The face stores its boundary once, as the lifted ``pieces``.  The closed
-    ``polygon`` is built from them on each access and is a fresh array, so
-    a loop that reads it many times binds it once.
+    The face stores its boundary as its ``chain`` of darts into the traced
+    ``lines`` it shares with the complex, plus one period ``offsets`` row
+    per dart that lifts that line into the plane; it holds no copy of the
+    samples.  Each access to ``pieces`` or ``polygon`` lifts the lines
+    afresh into new arrays, so a loop that reads them many times binds
+    them once.
     """
 
-    def __init__(self, index, chain, pieces, vertex_seq):
+    def __init__(self, index, chain, lines, offsets, vertex_seq):
         self.index = index
         self.chain = chain                  # list of darts (2*line + orient)
-        self.pieces = pieces                # lifted polyline per dart
+        self.lines = lines                  # the complex's traced lines
+        self.offsets = offsets              # period shift per dart, (n, 2)
         self.vertex_seq = vertex_seq        # critical index at each chain node
         self.max_index = None
         self.min_index = None
@@ -55,9 +59,19 @@ class NeumannDomain:
         self.area = geometry.polygon_area(self.polygon)
 
     @property
+    def pieces(self):
+        """Lifted polyline per dart, the last one ending on the first point."""
+        pieces = [_oriented_from_origin(self.lines, d) + off
+                  for d, off in zip(self.chain, self.offsets)]
+        # the lift closes to 1e-6; snap the closure exactly
+        pieces[-1][-1] = pieces[0][0]
+        return pieces
+
+    @property
     def polygon(self):
         """Closed boundary polygon: the pieces joined at their shared ends."""
-        return np.vstack([self.pieces[0]] + [p[1:] for p in self.pieces[1:]])
+        pieces = self.pieces
+        return np.vstack([pieces[0]] + [p[1:] for p in pieces[1:]])
 
     def to_dict(self):
         return {
@@ -268,30 +282,31 @@ def _face_walk(darts_at):
 
 
 def _lift_chain(lines, chain):
-    """Realize a boundary chain as contiguous polylines in the plane."""
-    pieces = []
+    """Period offsets that lift a boundary chain to contiguous polylines.
+
+    Returns (offsets, vertex_seq): one offset row per dart, and the critical
+    index at each chain node.  Raises EulerMismatch when a dart does not
+    start where the last one ends, or the lifted chain does not close.
+    """
+    offsets = []
     vertex_seq = []
-    cur = None
+    cur = first = None
     for d in chain:
+        pts = _oriented_from_origin(lines, d)
         ln = lines[d // 2]
-        pts = ln.samples if d % 2 == 0 else ln.samples[::-1]
-        start_idx = ln.start_index if d % 2 == 0 else ln.end_index
-        vertex_seq.append(start_idx)
+        vertex_seq.append(ln.start_index if d % 2 == 0 else ln.end_index)
         if cur is None:
             cur = torus.wrap(pts[0])
         off = torus.PERIOD * np.round((cur - pts[0]) / torus.PERIOD)
         if np.linalg.norm(pts[0] + off - cur) > 1e-6:
             raise EulerMismatch("boundary chain does not lift continuously")
-        lifted = pts + off
-        pieces.append(lifted)
-        cur = lifted[-1]
-    first = pieces[0][0]
+        if first is None:
+            first = pts[0] + off
+        offsets.append(off)
+        cur = pts[-1] + off
     if np.linalg.norm(cur - first) > 1e-6:
         raise EulerMismatch("face boundary does not close in the plane")
-    # snap the closure exactly
-    pieces[-1] = pieces[-1].copy()
-    pieces[-1][-1] = first
-    return pieces, vertex_seq
+    return np.array(offsets), vertex_seq
 
 
 COINCIDENCE_TOL = 2e-3     # curves closer than this over the whole window
@@ -355,16 +370,16 @@ def _check_crossings(lines, critical_points):
             raise LineCrossing(f"lines {li} and {lj} cross near {x}")
 
 
-def _fit_cusp_exponent(domain, vertex_pos_in_chain, cp, lines):
+def _fit_cusp_exponent(pieces, k, cp):
     """Log-log fit of the boundary pair separation near a cusp vertex.
 
-    Both boundary curves leave the cusp tangent to the slow Hessian axis;
-    their transverse separation grows like xi**alpha.  Returns (alpha, r2).
+    ``pieces`` are a face's lifted pieces and the cusp is the start of
+    piece k.  Both boundary curves leave the cusp tangent to the slow
+    Hessian axis; their transverse separation grows like xi**alpha.
+    Returns (alpha, r2).
     """
-    k = vertex_pos_in_chain
-    n = len(domain.chain)
-    piece_out = domain.pieces[k]                   # leaves the vertex
-    piece_in = domain.pieces[(k - 1) % n][::-1]    # reversed: also leaves it
+    piece_out = pieces[k]                           # leaves the vertex
+    piece_in = pieces[k - 1][::-1]                  # reversed: also leaves it
     h = np.abs(cp.hess_eigvals)
     slow = cp.hess_eigvecs[:, int(np.argmin(h))]
     fast = cp.hess_eigvecs[:, int(np.argmax(h))]
@@ -466,8 +481,8 @@ def build_complex(field, seed_grid=24):
     # realize each chain as a polygon; its extrema are the maximum and
     # minimum among the critical points at the chain's nodes
     for fi, chain in enumerate(chains):
-        pieces, vertex_seq = _lift_chain(lines, chain)
-        face = NeumannDomain(fi, chain, pieces, vertex_seq)
+        offsets, vertex_seq = _lift_chain(lines, chain)
+        face = NeumannDomain(fi, chain, lines, offsets, vertex_seq)
         if face.area < 0:
             # with counterclockwise rotations the walk keeps each face on
             # its left, so a clockwise face means a wrong rotation system
@@ -505,7 +520,7 @@ def build_complex(field, seed_grid=24):
                 alpha_h = None
                 if not cp.is_hess_proportional:
                     alpha_h = cusp_exponent(cp)
-                alpha_fit, r2 = _fit_cusp_exponent(face, k, cp, lines)
+                alpha_fit, r2 = _fit_cusp_exponent(face.pieces, k, cp)
                 face.cusps.append({
                     "crit_index": vtx, "angle": float(gap),
                     "alpha_hessian": alpha_h, "alpha_fit": alpha_fit,
@@ -526,11 +541,13 @@ def nodal_neumann_angles(cx, nodal_polylines):
     branch directions (the null directions of the Hessian quadratic form);
     elsewhere it is measured from symmetric on-curve secants of both traced
     curves around the crossing.  Returns (point, angle) pairs with angles in
-    [0, pi/2].
+    [0, pi/2], one per saddle however many nodal branches cross there; the
+    other crossings are already 1e-6 apart on the torus.
     """
     field = cx.field
     crit_xy = np.array([c.position for c in cx.critical_points])
     out = []
+    saddles_seen = set()
     hits = polyline_intersections(
         [ln.samples for ln in cx.lines], nodal_polylines)
     for (pt, va, vb) in hits:
@@ -538,6 +555,10 @@ def nodal_neumann_angles(cx, nodal_polylines):
         j = int(np.argmin(d))
         cp = cx.critical_points[j]
         if d[j] < NODAL_SADDLE_RADIUS and cp.kind == SADDLE:
+            # every nodal branch through the saddle gives the same record
+            if j in saddles_seen:
+                continue
+            saddles_seen.add(j)
             h1, h2 = cp.hess_eigvals
             psi = np.arctan(np.sqrt(-h1 / h2))   # nodal branch vs eigenframe
             ang = min(psi, np.pi / 2 - psi)
@@ -553,10 +574,4 @@ def nodal_neumann_angles(cx, nodal_polylines):
             ca = np.arctan2(va[1], va[0])
             ang = abs((ca - cb + np.pi / 2) % np.pi - np.pi / 2)
         out.append((pt, float(ang)))
-    # deduplicate saddle hits (two nodal branches give the same record)
-    dedup = []
-    for pt, ang in out:
-        if not any(np.linalg.norm(pt - q) < 1e-6 and abs(ang - a) < 1e-9
-                   for q, a in dedup):
-            dedup.append((pt, ang))
-    return dedup
+    return out

@@ -194,7 +194,10 @@ def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
     Discretization scatters a degenerate eigenvalue into a numerical
     cluster, so the count uses the guarded threshold lam*(1 - tol).
     Returns (position, cluster_indices); when lam is in the spectrum the
-    position equals the least index attaining it.
+    position equals the least index attaining it.  The zero eigenvalue is
+    computed as a roundoff-sized mu_0 of either sign, so a lam > 0 whose
+    guard band does not clear |mu_0| raises AmbiguousCluster: whether mu_0
+    counts below it is the sign of roundoff.
     """
     mu = np.asarray(spectrum, dtype=float)
     if not 0 < tol < 0.5:
@@ -208,7 +211,14 @@ def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
         raise SpectrumTooShort(
             f"spectrum reaches only {np.max(mu):.6g} <= lam = {lam:.6g}")
     thresh = lam * (1.0 - tol)
-    in_guard = (mu >= lam * (1.0 - 2.0 * tol)) & (mu < thresh)
+    low = lam * (1.0 - 2.0 * tol)
+    mu0 = mu[np.argmin(np.abs(mu))]
+    if abs(mu0) >= low:
+        raise AmbiguousCluster(
+            f"the zero eigenvalue is computed as {mu0:.3g}, which the guard "
+            f"band below lam = {lam:.6g} does not clear, so whether it "
+            "counts is the sign of roundoff")
+    in_guard = (mu >= low) & (mu < thresh)
     if np.any(in_guard):
         raise AmbiguousCluster(
             f"eigenvalues {mu[in_guard]} fall just below the counting "

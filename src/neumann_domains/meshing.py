@@ -125,7 +125,8 @@ def truncate_domain(field, domain, t, critical_points):
     if not (0.0 < t < 1.0):
         raise ValueError("t must be in (0, 1)")
     cusps = _cusp_indices(domain)
-    pieces = [(p, "outer") for p in domain.pieces]
+    lifted = domain.pieces
+    pieces = [(p, "outer") for p in lifted]
     cuts = [(ci, marker) for ci, marker in
             ((domain.max_index, "gamma_plus"),
              (domain.min_index, "gamma_minus")) if ci in cusps]
@@ -141,7 +142,7 @@ def truncate_domain(field, domain, t, critical_points):
     polygon = domain.polygon
     n = len(pieces)
     # polygon edge e lies on piece searchsorted(starts, e, 'right') - 1
-    starts = np.cumsum([0] + [len(p) - 1 for p in domain.pieces[:-1]])
+    starts = np.cumsum([0] + [len(p) - 1 for p in lifted[:-1]])
     arc_before = {}
     for ci, marker in cuts:
         level = shift + t * (critical_points[ci].value - shift)
@@ -154,9 +155,8 @@ def truncate_domain(field, domain, t, critical_points):
             raise ExceptionalLevel(
                 f"level {level} crosses the boundary away from the cusp")
         a, b = edges - starts[j]
-        pieces[j[0]] = (np.vstack([domain.pieces[j[0]][:a + 1], arc[:1]]),
-                        "outer")
-        pieces[k] = (np.vstack([arc[-1:], domain.pieces[k][b + 1:]]), "outer")
+        pieces[j[0]] = (np.vstack([lifted[j[0]][:a + 1], arc[:1]]), "outer")
+        pieces[k] = (np.vstack([arc[-1:], lifted[k][b + 1:]]), "outer")
         arc_before[k] = (arc, marker)
     for k in sorted(arc_before, reverse=True):
         pieces.insert(k, arc_before[k])
@@ -721,19 +721,19 @@ def _slit_pieces(domain, h, grading):
     the face to a corner that can be sharper than the angle gate.
     """
     n = len(domain.chain)
+    lifted = domain.pieces
     ups = [k for k in range(n)
            if domain.chain[(k + 1) % n] == domain.chain[k] ^ 1]
     tips = {domain.vertex_seq[(k + 1) % n] for k in ups}
-    others = [domain.pieces[k][0] for k, v in enumerate(domain.vertex_seq)
+    others = [lifted[k][0] for k, v in enumerate(domain.vertex_seq)
               if v in {domain.max_index, domain.min_index} - tips]
-    size = _make_size_fn(h, grading,
-                         [domain.pieces[k][0] for k in ups] + others)
+    size = _make_size_fn(h, grading, [lifted[k][0] for k in ups] + others)
     pieces = {}
     for k in ups:
-        up = _resample_by_size(domain.pieces[k], size)
+        up = _resample_by_size(lifted[k], size)
         pieces[k], pieces[(k + 1) % n] = (up, "crack_R"), (up[::-1], "crack_L")
     return size, [pieces.get(k) or (_resample_by_size(p, size), "outer")
-                  for k, p in enumerate(domain.pieces)]
+                  for k, p in enumerate(lifted)]
 
 
 def structured_rect_mesh(width, height, nx, ny, origin=(0.0, 0.0)):

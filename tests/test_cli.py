@@ -175,6 +175,15 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["position", "--field", "separable", "--seed-grid", "16",
                  "--mesh-h", "0.3", "--num-eigs", "4", "--lam", "1000",
                  "--out", str(tmp_path / "o")]) == 3
+    # a lam so small that the guard band below it does not clear the
+    # computed zero eigenvalue (6.23e-15 here), which once exited 3 as a
+    # solver breakdown, "0 eigenvalues found below the threshold, 1 by
+    # inertia"
+    capsys.readouterr()
+    assert main(["spectrum", "--field", "anisotropic", "--mesh-h", "0.2",
+                 "--lam", "1e-300", "--out", str(tmp_path / "o")]) == 3
+    assert ("the zero eigenvalue is computed as 6.23e-15"
+            in capsys.readouterr().err)
     # a crack centred on a critical point, refused before its frame is
     # formed from the vanishing gradient, so no warning reaches stderr
     capsys.readouterr()

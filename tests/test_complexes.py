@@ -32,20 +32,23 @@ def test_extrema_read_from_boundary_chain():
     from neumann_domains.complexes import NeumannDomain, _attach_extrema
     cps = [SimpleNamespace(kind=k) for k in (MAX, SADDLE, MIN, SADDLE, MAX)]
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    pieces = [np.array([corners[k], corners[(k + 1) % 4]]) for k in range(4)]
+    # the unit square's four sides as lines 0-3, walked forward
+    lines = [SimpleNamespace(samples=corners[[k, (k + 1) % 4]])
+             for k in range(4)]
+    offsets = np.zeros((4, 2))
 
-    face = NeumannDomain(0, [0, 2, 4, 6], pieces, [0, 1, 2, 3])
+    face = NeumannDomain(0, [0, 2, 4, 6], lines, offsets, [0, 1, 2, 3])
     _attach_extrema(face, cps)
     assert (face.max_index, face.min_index) == (0, 2)
     # a node visited twice still counts once
-    face = NeumannDomain(0, [0, 2, 4, 6], pieces, [0, 1, 2, 1])
+    face = NeumannDomain(0, [0, 2, 4, 6], lines, offsets, [0, 1, 2, 1])
     _attach_extrema(face, cps)
     assert (face.max_index, face.min_index) == (0, 2)
 
     for seq in ([0, 1, 4, 2],      # two distinct maxima
                 [0, 1, 4, 3],      # two maxima and no minimum
                 [0, 1, 0, 3]):     # no minimum
-        face = NeumannDomain(0, [0, 2, 4, 6], pieces, seq)
+        face = NeumannDomain(0, [0, 2, 4, 6], lines, offsets, seq)
         with pytest.raises(EulerMismatch):
             _attach_extrema(face, cps)
 
@@ -113,8 +116,9 @@ def test_face_polygons_pinned(sep_complex, aniso_complex, l17_complex,
 
 
 def test_complex_memory_follows_lines(lambda17):
-    # the complex keeps its traced lines and one lifted copy of them in the
-    # faces' pieces; a face that also stored its polygon would make it 5.2
+    # the complex keeps its traced lines once: each face refers to them by
+    # its chain and one period offset per dart, where a lifted copy of the
+    # lines in every face's pieces made it 3.16
     gc.collect()
     tracemalloc.start()
     try:
@@ -124,7 +128,7 @@ def test_complex_memory_follows_lines(lambda17):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept <= 3.5 * sum(ln.samples.nbytes for ln in cx.lines)
+    assert kept <= 1.5 * sum(ln.samples.nbytes for ln in cx.lines)
 
 
 def test_anisotropic_same_combinatorics(aniso_complex):

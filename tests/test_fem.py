@@ -92,6 +92,31 @@ def test_spectral_position_examples():
         spectral_position([0.0, 0.9985, 2.0], 1.0, tol=1e-3)
 
 
+def test_tiny_lambda_names_the_zero_eigenvalue(separable, sep_complex,
+                                              anisotropic, aniso_complex,
+                                              lambda17, l17_complex):
+    # a lam > 0 whose guard band [lam(1 - 2 tol), lam(1 - tol)) does not
+    # clear the computed zero eigenvalue mu_0: the count hung on mu_0's
+    # roundoff sign, so these reports raised SolverBreakdown (mu_0 > 0,
+    # "0 found, 1 by inertia") or returned 1 (mu_0 < 0)
+    cases = [(anisotropic, aniso_complex, 0.2, 1e-300, 1),
+             (lambda17, l17_complex, 0.06, 1e-14, 1),
+             (separable, sep_complex, 0.3, 1e-300, -1)]
+    for field, cx, h, lam, sign in cases:
+        mesh = mesh_domain(field, cx.faces[0], h,
+                           critical_points=cx.critical_points)
+        mu, _ = neumann_spectrum(mesh, 4)
+        assert np.sign(mu[0]) == sign and abs(mu[0]) < 1e-13
+        named = f"zero eigenvalue is computed as {mu[0]:.3g}"
+        with pytest.raises(AmbiguousCluster, match=named):
+            spectral_position(mu, lam)
+        with pytest.raises(AmbiguousCluster, match=named):
+            domain_spectrum_report(field, mesh, lam, 4)
+    # a guard band that clears mu_0 counts it
+    assert spectral_position([6.2e-15, 1.0], 1e-14) == (1, [])
+    assert spectral_position([-3.6e-15, 1.0], 1e-14) == (1, [])
+
+
 def test_spectral_position_scaling_invariance(separable, sep_complex):
     mesh = mesh_domain(separable, sep_complex.faces[0], np.pi / 16,
                        critical_points=sep_complex.critical_points)
