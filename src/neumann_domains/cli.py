@@ -8,18 +8,15 @@ error, 3 numerical failure, 4 assertion failure.
 
 import argparse
 import json
-import math
 import os
 import sys
 
+from . import contours, critical, fem, meshing
 from .complexes import build_complex, nodal_neumann_angles
-from .contours import nodal_set
 from .cracked import build_crack_perturbation, verify_cracked
 from .errors import (ConstructionFailed, EulerMismatch, LineCrossing,
                      NeumannDomainError)
-from .fem import domain_spectrum_report
 from .fields import BUNDLED_NAMES, MorseField, load_bundled
-from .meshing import mesh_domain
 from .svg import render_complex_svg
 from .validate import run_invariants
 
@@ -126,14 +123,11 @@ def _load_field(args):
     return MorseField.from_json(args.field)
 
 
-def _config_dict(args):
-    skip = {"command", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _write(args, name, payload):
     os.makedirs(args.out, exist_ok=True)
-    payload = {"config": _config_dict(args), **payload}
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("command", "config")}
+    payload = {"config": config, **payload}
     path = os.path.join(args.out, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -143,23 +137,20 @@ def _write(args, name, payload):
 
 def cmd_crit(args):
     field = _load_field(args)
-    from .critical import euler_check, find_critical_points
-    pts = find_critical_points(field, args.seed_grid)
+    pts = critical.find_critical_points(field, args.seed_grid)
     path = _write(args, "crit.json", {
         "critical_points": [p.to_dict() for p in pts],
-        "euler_ok": bool(euler_check(pts)),
+        "euler_ok": bool(critical.euler_check(pts)),
     })
     print(f"{len(pts)} critical points -> {path}")
     return 0
 
 
 def cmd_complex(args):
-    # the range nodal_set enforces too, checked before the complex is built
-    if args.grid_res < 8:
-        raise ValueError(f"--grid-res {args.grid_res} must be at least 8")
+    contours._check_grid_res(args.grid_res)
     field = _load_field(args)
     cx = build_complex(field, args.seed_grid)
-    nodal = nodal_set(field, args.grid_res)
+    nodal = contours.nodal_set(field, args.grid_res)
     angles = nodal_neumann_angles(cx, nodal)
     payload = cx.to_dict()
     payload["nodal_polyline_count"] = len(nodal)
@@ -177,45 +168,25 @@ def cmd_complex(args):
     return 0
 
 
-def _check_mesh_flags(args):
-    # ranges the mesher and the eigensolver enforce too, checked here so a
-    # bad flag fails before the complex is built
-    if not (args.mesh_h > 0 and math.isfinite(args.mesh_h)):
-        raise ValueError(f"--mesh-h {args.mesh_h} must be finite and "
-                         "positive")
-    if args.num_eigs < 1:
-        raise ValueError(f"--num-eigs {args.num_eigs} must be at least 1")
-    if not 0 < args.cluster_tol < 0.5:
-        raise ValueError(f"--cluster-tol {args.cluster_tol} must lie in "
-                         "(0, 0.5)")
-    if args.truncate is not None and not 0 < args.truncate < 1:
-        raise ValueError(f"--truncate {args.truncate} must lie in (0, 1)")
-    if not (args.grading > 0 and math.isfinite(args.grading)):
-        raise ValueError(f"--grading {args.grading} must be finite and "
-                         "positive")
-    if args.lam is not None and not (args.lam >= 0
-                                     and math.isfinite(args.lam)):
-        raise ValueError(f"--lam {args.lam} must be finite and "
-                         "non-negative")
-
-
 def _spectrum_report(args):
-    _check_mesh_flags(args)
+    meshing._check_mesh_args(args.mesh_h, args.grading, args.truncate)
+    fem._check_args(args.lam, args.num_eigs, args.cluster_tol)
     field = _load_field(args)
     cx = build_complex(field, args.seed_grid)
     if not 0 <= args.domain_index < len(cx.faces):
         raise ValueError(f"domain index {args.domain_index} out of range "
                          f"(0..{len(cx.faces) - 1})")
     face = cx.faces[args.domain_index]
-    mesh = mesh_domain(field, face, args.mesh_h, args.grading, args.truncate,
-                       critical_points=cx.critical_points)
+    mesh = meshing.mesh_domain(field, face, args.mesh_h, args.grading,
+                               args.truncate,
+                               critical_points=cx.critical_points)
     lam = args.lam
     if lam is None:
         if not field.is_eigenfunction:
             raise ValueError("--lam is required for non-eigenfunction fields")
         lam = field.eigenvalue()
-    return mesh, domain_spectrum_report(field, mesh, lam, args.num_eigs,
-                                        args.cluster_tol)
+    return mesh, fem.domain_spectrum_report(field, mesh, lam, args.num_eigs,
+                                            args.cluster_tol)
 
 
 def cmd_spectrum(args):
@@ -278,10 +249,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(build_parser(), argv)
-        # the range the census enforces too, checked before a field loads
-        if args.seed_grid < 8:
-            raise ValueError(f"--seed-grid {args.seed_grid} must be at "
-                             "least 8")
+        critical._check_seed_grid(args.seed_grid)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

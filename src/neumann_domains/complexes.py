@@ -255,7 +255,10 @@ def _refine_tied_order(lines, ordered):
 
 
 def _face_walk(darts_at):
-    """Orbits of d -> predecessor of d ^ 1 in the cyclic order at its head."""
+    """Orbits of d -> predecessor of d ^ 1 in the cyclic order at its head.
+
+    The map is a bijection on the darts, so every orbit closes.
+    """
     pos = {}
     for v, ds in darts_at.items():
         for i, (d, _) in enumerate(ds):
@@ -265,18 +268,14 @@ def _face_walk(darts_at):
     for d0 in sorted(pos):
         if d0 in seen:
             continue
-        chain = []
-        d = d0
+        chain = [d0]
         while True:
-            chain.append(d)
-            seen.add(d)
-            v, i = pos[d ^ 1]
-            ds = darts_at[v]
-            d = ds[(i - 1) % len(ds)][0]
+            v, i = pos[chain[-1] ^ 1]
+            d = darts_at[v][i - 1][0]       # i - 1 = -1 wraps to the last
             if d == d0:
                 break
-            if len(chain) > 10 * len(pos):
-                raise EulerMismatch("face walk did not close")
+            chain.append(d)
+        seen.update(chain)
         faces.append(chain)
     return faces
 

@@ -78,6 +78,11 @@ _CASES[5] = [[(0, 3), (1, 2)], [(0, 1), (2, 3)]]
 _CASES[10] = _CASES[5, ::-1]
 
 
+def _check_grid_res(grid_res):
+    if grid_res < 8:
+        raise ValueError(f"grid_res {grid_res} must be at least 8")
+
+
 def nodal_set(field, grid_res):
     """Zero contours of the field as polylines on the torus.
 
@@ -92,8 +97,7 @@ def nodal_set(field, grid_res):
     of whole rows passes each row to the field as the same (n, 2) slice as
     the full lattice does, so every value is computed bit for bit as there.
     """
-    if grid_res < 8:
-        raise ValueError("grid_res must be at least 8")
+    _check_grid_res(grid_res)
     n = int(grid_res)
     g = np.arange(n) / n * torus.PERIOD
     step = torus.PERIOD / n
@@ -278,12 +282,15 @@ def polyline_intersections(lines_a, lines_b):
     empty.  Input polylines are continuous (unwrapped) coordinate arrays;
     lines_a is tested on chords over every POLYLINE_COARSEN-th sample.
     """
-    def secant(pts, idx, arc):
-        cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        cs = np.concatenate([[0.0], np.cumsum(cum)])
+    def secant(lines, sums, k, idx):
+        pts = lines[k]
+        if k not in sums:   # one arc-length sum per polyline with a hit
+            cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            sums[k] = np.concatenate([[0.0], np.cumsum(cum)])
+        cs = sums[k]
         s0 = cs[min(idx, len(cs) - 1)]
-        i0 = np.searchsorted(cs, max(0.0, s0 - arc))
-        i1 = min(np.searchsorted(cs, s0 + arc), len(pts) - 1)
+        i0 = np.searchsorted(cs, max(0.0, s0 - SECANT_ARC))
+        i1 = min(np.searchsorted(cs, s0 + SECANT_ARC), len(pts) - 1)
         v = pts[i1] - pts[i0]
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
@@ -305,6 +312,7 @@ def polyline_intersections(lines_a, lines_b):
     keep = np.ones(len(pts), dtype=bool)
     for k in np.flatnonzero(np.triu(close, 1).any(axis=0)):
         keep[k] = not (close[k, :k] & keep[:k]).any()
-    return [(pt, secant(lines_a[la[i]], ka[i], SECANT_ARC),
-             secant(lines_b[lb[j]], kb[j], SECANT_ARC))
+    sums_a, sums_b = {}, {}
+    return [(pt, secant(lines_a, sums_a, la[i], ka[i]),
+             secant(lines_b, sums_b, lb[j], kb[j]))
             for pt, i, j in zip(pts[keep], ia[keep], ib[keep])]

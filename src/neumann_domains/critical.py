@@ -141,6 +141,11 @@ def _seed_lattice(field, n):
     return seeds
 
 
+def _check_seed_grid(seed_grid):
+    if seed_grid < 8:
+        raise ValueError(f"seed_grid {seed_grid} must be at least 8")
+
+
 def find_critical_points(field, seed_grid=24):
     """Locate and classify all critical points of the field.
 
@@ -149,8 +154,7 @@ def find_critical_points(field, seed_grid=24):
     The census is recomputed on the doubled lattice and must agree (raises
     SeedGridTooCoarse otherwise).
     """
-    if seed_grid < 8:
-        raise ValueError("seed_grid must be at least 8")
+    _check_seed_grid(seed_grid)
     pts = _census(field, seed_grid)
     pts2 = _census(field, 2 * seed_grid)
     if len(pts) != len(pts2):

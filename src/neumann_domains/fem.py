@@ -25,6 +25,20 @@ DENSE_LIMIT = 0     # no dense path; perfbench/spans.py splits solves on it
 CLUSTER_TOL = 1e-3
 
 
+def _check_args(lam=None, k=1, tol=CLUSTER_TOL, n=np.inf):
+    """Refuse an out-of-range lam, tol, or eigenvalue count k on n vertices."""
+    if lam is not None and not (lam >= 0 and np.isfinite(lam)):
+        raise ValueError(f"lam = {lam} must be finite and non-negative")
+    if k < 1:
+        raise ValueError(f"eigenvalue count k = {k} must be at least 1")
+    if not k < n / 2:
+        raise ValueError(f"eigenvalue count k = {k} must be below {n / 2:g} "
+                         f"for {n} vertices")
+    if not 0 < tol < 0.5:
+        # from tol = 0.5 the guard band reaches the zero eigenvalue
+        raise ValueError(f"cluster tolerance {tol} must lie in (0, 0.5)")
+
+
 def assemble_p1(mesh):
     """Stiffness and mass matrices for piecewise-linear elements.
 
@@ -122,11 +136,9 @@ def neumann_spectrum(mesh, k, *, _matrices=None):
     through bare matvecs, so the result is the plain
     ``eigsh(K, k, M=M, sigma=sigma, which="LM", v0=v0)`` one.
     """
+    _check_args(k=k, n=mesh.num_vertices)
     K, M = assemble_p1(mesh) if _matrices is None else _matrices
     n = K.shape[0]
-    if not 0 < k < n / 2:
-        raise ValueError(f"k = {k} must lie in (0, {n / 2:g}) for {n} "
-                         "vertices")
     sigma = -0.1
     try:
         v0 = np.full(n, 1.0 / np.sqrt(n))
@@ -199,12 +211,8 @@ def spectral_position(spectrum, lam, tol=CLUSTER_TOL):
     guard band does not clear |mu_0| raises AmbiguousCluster: whether mu_0
     counts below it is the sign of roundoff.
     """
+    _check_args(lam, tol=tol)
     mu = np.asarray(spectrum, dtype=float)
-    if not 0 < tol < 0.5:
-        # from tol = 0.5 the guard band reaches the zero eigenvalue
-        raise ValueError(f"cluster tolerance {tol} must lie in (0, 0.5)")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0, [int(i) for i in np.flatnonzero(np.abs(mu) <= tol)]
     if np.max(mu) <= lam:
@@ -242,6 +250,7 @@ def restriction_residual(field, mesh, lam=None, *, _matrices=None):
     neighbouring element errors cancel.)  For lam = 0 the normalization is
     ||f||_M alone.
     """
+    _check_args(lam)
     if not field.is_eigenfunction:
         raise NotAnEigenfunctionField(
             "restriction residual requires a Laplacian eigenfunction")
@@ -304,6 +313,7 @@ def domain_spectrum_report(field, mesh, lam, k, tol=CLUSTER_TOL):
     checks the vectors against K and M alone, so wrong vectors can only
     send a report down that second factorisation.
     """
+    _check_args(lam, k, tol, mesh.num_vertices)
     K, M = assemble_p1(mesh)
     mu, vecs = neumann_spectrum(mesh, k, _matrices=(K, M))
     position, cluster = spectral_position(mu, lam, tol)

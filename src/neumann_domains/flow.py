@@ -94,10 +94,6 @@ class FlowLine:
         self.length = float(np.sum(np.linalg.norm(seg, axis=1)))
 
 
-def _rhs(field, x, sgn):
-    return sgn[:, None] * field.gradient(x)
-
-
 def _row_norm(v):
     """Euclidean norm of each row of an (N, 2) array, as np.linalg.norm."""
     v = v * v
@@ -172,7 +168,7 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
         k[0] = F[idx]
         for i in range(1, 7):
             xi = x + hh * np.dot(_DP_A[i], k[:i].reshape(i, -1)).reshape(-1, 2)
-            k[i] = _rhs(field, xi, s)
+            k[i] = s[:, None] * field.gradient(xi)
         err = hh * np.dot(_DP_E, k.reshape(7, -1)).reshape(-1, 2)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(xi))
         r = err / scale
@@ -293,8 +289,6 @@ def _extrapolate_tangent(c, c_lift, states):
         return None
     h = np.abs(c.hess_eigvals)
     beta = float(np.max(h) / np.min(h)) - 1.0
-    if beta < 1e-9:
-        return None
     v1 = states[-1] - c_lift
     r1 = np.linalg.norm(v1)
     phi1 = np.arctan2(v1[1], v1[0])
@@ -346,18 +340,24 @@ def _finish_line(chain, cap_index, critical_points, direction, start_index,
                     end_tangent)
 
 
+def _flow_sign(direction):
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown flow direction {direction!r}")
+    return -1.0 if direction == FORWARD else 1.0
+
+
 def integrate_flow(field, x0, direction, critical_points):
     """Trace one trajectory of the gradient flow until capture.
 
-    ``direction`` is 'forward' (descending f) or 'backward'.  Raises
-    NoConvergence when the arclength/time budget is exhausted and
-    SteppedOutOfTolerance when error control fails.
+    ``direction`` is 'forward' (descending f) or 'backward', and anything
+    else raises ValueError.  Raises NoConvergence when the arclength/time
+    budget is exhausted and SteppedOutOfTolerance when error control fails.
     """
+    sgn = _flow_sign(direction)
     x0 = np.asarray(x0, dtype=float)[None, :]
     g0 = field.gradient(x0)
     if np.linalg.norm(g0[0]) <= GRAD_GATE:
         raise ValueError("start point is (numerically) critical")
-    sgn = -1.0 if direction == FORWARD else 1.0
     captured, chains = _integrate_batch(field, x0, [sgn], critical_points,
                                         grad0=g0)
     return _finish_line(chains[0], captured[0], critical_points, direction,
@@ -410,7 +410,7 @@ def flow_endpoints(field, x0s, directions, critical_points):
 
     Returns an array of critical point indices.
     """
-    sgn = np.array([-1.0 if d == FORWARD else 1.0 for d in directions])
+    sgn = np.array([_flow_sign(d) for d in directions])
     captured, _ = _integrate_batch(field, np.asarray(x0s, dtype=float), sgn,
                                    critical_points, record=False)
     return captured

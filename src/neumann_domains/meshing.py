@@ -52,12 +52,10 @@ class TriMesh:
     def num_vertices(self):
         return len(self.vertices)
 
-    def edge_count(self):
-        return len(_edge_keys(self.triangles, self.num_vertices))
-
     def is_disk(self):
         """Euler characteristic of a triangulated closed disk is 1."""
-        return self.num_vertices - self.edge_count() + len(self.triangles) == 1
+        edges = len(_edge_keys(self.triangles, self.num_vertices))
+        return self.num_vertices - edges + len(self.triangles) == 1
 
     def triangle_areas(self):
         v = self.vertices
@@ -109,6 +107,11 @@ def _cusp_indices(domain):
     return sorted({c["crit_index"] for c in domain.cusps if c["confirmed"]})
 
 
+def _check_level(t):
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"truncation level t = {t} must lie in (0, 1)")
+
+
 def truncate_domain(field, domain, t, critical_points):
     """Cut the cusp neighbourhoods of a face at the level lines t*f(extremum).
 
@@ -122,8 +125,7 @@ def truncate_domain(field, domain, t, critical_points):
     ExceptionalLevel when a level line passes through a saddle or crosses
     any other piece.
     """
-    if not (0.0 < t < 1.0):
-        raise ValueError("t must be in (0, 1)")
+    _check_level(t)
     cusps = _cusp_indices(domain)
     lifted = domain.pieces
     pieces = [(p, "outer") for p in lifted]
@@ -174,6 +176,8 @@ def cusp_length_decay(field, domain, t_list, critical_points):
     there.  The sequence must decrease toward zero as t -> 1.  Returns
     records (t, crit_index, length, normalized), by t and then by cusp.
     """
+    for t in t_list:
+        _check_level(t)
     if not _cusp_indices(domain):
         raise ValueError("domain has no confirmed cusp")
     cusp_of = {"gamma_plus": domain.max_index,
@@ -663,6 +667,16 @@ def _make_size_fn(h, grading, centers):
     return size
 
 
+def _check_mesh_args(h, grading, t):
+    # an infinite grading makes the size NaN at a cusp, and the resampler
+    # would then step by NaN for ever
+    for name, v in (("mesh size h", h), ("grading", grading)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} = {v} must be finite and positive")
+    if t is not None:
+        _check_level(t)
+
+
 def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
     """Triangulate one Neumann domain.
 
@@ -674,12 +688,7 @@ def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
     without a confirmed cusp, would cut nothing and raises ValueError.
     ``critical_points`` is the census the complex was built from.
     """
-    # an infinite grading makes the size NaN at a cusp, and the resampler
-    # would then step by NaN for ever
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"mesh size h = {h} must be finite and positive")
-    if not (grading > 0 and math.isfinite(grading)):
-        raise ValueError(f"grading {grading} must be finite and positive")
+    _check_mesh_args(h, grading, t)
     if t is not None and (domain.crack_line_ids or not _cusp_indices(domain)):
         why = ("is cracked" if domain.crack_line_ids
                else "has no confirmed cusp")
@@ -736,10 +745,10 @@ def _slit_pieces(domain, h, grading):
                   for k, p in enumerate(lifted)]
 
 
-def structured_rect_mesh(width, height, nx, ny, origin=(0.0, 0.0)):
+def structured_rect_mesh(width, height, nx, ny):
     """Uniform right-triangle mesh of a rectangle (validation helper)."""
-    gx = np.linspace(origin[0], origin[0] + width, nx + 1)
-    gy = np.linspace(origin[1], origin[1] + height, ny + 1)
+    gx = np.linspace(0.0, width, nx + 1)
+    gy = np.linspace(0.0, height, ny + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel()], axis=-1)
 

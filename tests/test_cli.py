@@ -1,10 +1,18 @@
 import json
+import math
 import os
+import re
 import warnings
 
+import numpy as np
 import pytest
 
-from neumann_domains import cli
+from neumann_domains import (build_complex, cli, cusp_length_decay,
+                             domain_spectrum_report, fem,
+                             find_critical_points, mesh_domain,
+                             neumann_spectrum, nodal_set,
+                             restriction_residual, spectral_position,
+                             structured_rect_mesh, truncate_domain)
 from neumann_domains.cli import main
 
 
@@ -278,3 +286,76 @@ def test_truncating_a_cracked_face_is_refused(tmp_path, capsys):
     assert code == 2
     assert f"face {i} is cracked" in capsys.readouterr().err
     assert not (out / "spectrum.json").exists()
+
+
+# every argument rule, written once in the module that uses the value:
+# (CLI flag, an out-of-range value, the parameter the message names)
+ARGUMENT_RULES = [
+    *[("--seed-grid", v, "seed_grid") for v in (7, 0, -8)],
+    *[("--grid-res", v, "grid_res") for v in (0, 1, 7)],
+    *[("--mesh-h", v, "mesh size h") for v in (0.0, -0.1, math.nan, math.inf)],
+    *[("--grading", v, "grading") for v in (0.0, -1.0, math.nan, math.inf)],
+    *[("--truncate", v, "truncation level t") for v in (0.0, 1.0, -0.5)],
+    *[("--cluster-tol", v, "cluster tolerance") for v in (0.0, 0.5, 0.6)],
+    *[("--lam", v, "lam") for v in (-1.0, math.nan, math.inf)],
+    ("--num-eigs", 0, "eigenvalue count k"),
+]
+
+
+class _UnusableField:
+    """A field that fails on any use: a check that runs first never uses it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"field.{name} used before the argument check")
+
+
+def _library_calls(flag, v, face, cps, mesh):
+    """Each library call that takes the value of ``flag``, with it set to v."""
+    f = _UnusableField()
+    return {
+        "--seed-grid": [lambda: find_critical_points(f, v),
+                        lambda: build_complex(f, v)],
+        "--grid-res": [lambda: nodal_set(f, v)],
+        "--mesh-h": [lambda: mesh_domain(f, face, v, critical_points=cps)],
+        "--grading": [lambda: mesh_domain(f, face, 0.2, v,
+                                          critical_points=cps)],
+        "--truncate": [lambda: mesh_domain(f, face, 0.2, t=v,
+                                           critical_points=cps),
+                       lambda: truncate_domain(f, face, v, cps),
+                       lambda: cusp_length_decay(f, face, [0.5, v], cps)],
+        "--cluster-tol": [lambda: spectral_position([0.0, 1.0, 2.0], 1.5, v),
+                          lambda: domain_spectrum_report(f, mesh, 1.0, 4, v)],
+        "--lam": [lambda: spectral_position([0.0, 1.0, 2.0], v),
+                  lambda: domain_spectrum_report(f, mesh, v, 4),
+                  lambda: restriction_residual(f, mesh, v)],
+        "--num-eigs": [lambda: neumann_spectrum(mesh, v),
+                       lambda: domain_spectrum_report(f, mesh, 1.0, v)],
+    }[flag]
+
+
+@pytest.mark.parametrize("flag, value, name", ARGUMENT_RULES,
+                         ids=[f"{f}={v}" for f, v, _ in ARGUMENT_RULES])
+def test_argument_rules(flag, value, name, sep_complex, tmp_path,
+                        monkeypatch, capsys):
+    # the library refuses the value before any work: no field is evaluated
+    # and no matrix assembled (a report once assembled and eigensolved
+    # before its lam, tol or k was refused)
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the argument check")
+
+    monkeypatch.setattr(fem, "assemble_p1", no_work)
+    mesh = structured_rect_mesh(np.pi, np.pi, 8, 8)
+    for call in _library_calls(flag, value, sep_complex.faces[0],
+                               sep_complex.critical_points, mesh):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            call()
+    # the CLI runs the same check before a field loads, exits 2 and names
+    # the library parameter
+    for attr in ("_load_field", "load_bundled", "build_complex"):
+        monkeypatch.setattr(cli, attr, no_work)
+    command = {"--seed-grid": "crit", "--grid-res": "complex"}.get(
+        flag, "position")
+    capsys.readouterr()
+    assert main([command, "--field", "separable", f"{flag}={value}",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert name in capsys.readouterr().err

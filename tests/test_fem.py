@@ -117,6 +117,34 @@ def test_tiny_lambda_names_the_zero_eigenvalue(separable, sep_complex,
     assert spectral_position([-3.6e-15, 1.0], 1e-14) == (1, [])
 
 
+def test_non_finite_lambda_is_refused(separable):
+    # N(lam) is defined for a finite lam >= 0 only: a nan once counted no
+    # eigenvalue below it, and a report of it carried a nan residual, while
+    # an inf raised SpectrumTooShort (exit 3) where the CLI exits 2
+    mesh = structured_rect_mesh(np.pi, np.pi, 8, 8)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            spectral_position([0.0, 1.0, 2.0], lam)
+        with pytest.raises(ValueError, match="must be finite"):
+            domain_spectrum_report(separable, mesh, lam, 5)
+        with pytest.raises(ValueError, match="must be finite"):
+            restriction_residual(separable, mesh, lam)
+
+
+def test_eigenvalue_count_checked_before_assembly(separable, monkeypatch):
+    # a mesh of n vertices gives the solver fewer than n / 2 eigenvalues: a
+    # larger k was once refused only after K and M were assembled
+    def no_assembly(mesh):
+        raise AssertionError("assembled before k was checked")
+
+    monkeypatch.setattr(fem, "assemble_p1", no_assembly)
+    mesh = structured_rect_mesh(np.pi, np.pi, 8, 8)        # 81 vertices
+    with pytest.raises(ValueError, match="below 40.5 for 81 vertices"):
+        neumann_spectrum(mesh, 41)
+    with pytest.raises(ValueError, match="below 40.5 for 81 vertices"):
+        domain_spectrum_report(separable, mesh, 1.0, 41)
+
+
 def test_spectral_position_scaling_invariance(separable, sep_complex):
     mesh = mesh_domain(separable, sep_complex.faces[0], np.pi / 16,
                        critical_points=sep_complex.critical_points)

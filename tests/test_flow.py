@@ -153,6 +153,25 @@ def test_budget_exhaustion(separable, sep_points, monkeypatch, trace):
         trace(separable, sep_points)
 
 
+@pytest.mark.parametrize("trace", [
+    lambda f, cps, d: integrate_flow(f, [1.0, 2.0], d, cps),
+    lambda f, cps, d: flow.flow_endpoints(f, [[1.0, 2.0], [2.0, 1.0]],
+                                          [FORWARD, d], cps),
+], ids=["integrate_flow", "flow_endpoints"])
+@pytest.mark.parametrize("direction", ["forwards", "down", "Forward", None])
+def test_unknown_direction_is_refused(separable, sep_points, monkeypatch,
+                                      trace, direction):
+    # anything but FORWARD once flowed backward, to a maximum, and was
+    # stored as the line's direction; it is refused before the field is
+    # evaluated
+    def no_gradient(self, x):
+        raise AssertionError("gradient evaluated for a bad direction")
+
+    monkeypatch.setattr(type(separable), "gradient", no_gradient)
+    with pytest.raises(ValueError, match="unknown flow direction"):
+        trace(separable, sep_points, direction)
+
+
 @pytest.mark.parametrize("name", ["sep_complex", "aniso_complex",
                                   "l17_complex", "generic_complex",
                                   "crack_report"])
