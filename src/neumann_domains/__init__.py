@@ -7,10 +7,11 @@ spectral position of an eigenvalue.
 """
 
 from .complexes import (NeumannComplex, NeumannDomain, build_complex,
-                        cusp_exponent, nodal_neumann_angles)
+                        nodal_neumann_angles)
 from .contours import level_arc_in_face, nodal_set
 from .cracked import build_crack_perturbation, verify_cracked
-from .critical import CriticalPoint, euler_check, find_critical_points
+from .critical import (CriticalPoint, cusp_exponent, euler_check,
+                       find_critical_points)
 from .fem import (SpectrumReport, assemble_p1, domain_spectrum_report,
                   neumann_spectrum, restriction_residual, spectral_position)
 from .fields import CrackPerturbation, MorseField, load_bundled

@@ -172,6 +172,11 @@ def _spectrum_report(args):
     meshing._check_mesh_args(args.mesh_h, args.grading, args.truncate)
     fem._check_args(args.lam, args.num_eigs, args.cluster_tol)
     field = _load_field(args)
+    lam = args.lam
+    if lam is None:
+        if not field.is_eigenfunction:
+            raise ValueError("--lam is required for non-eigenfunction fields")
+        lam = field.eigenvalue()
     cx = build_complex(field, args.seed_grid)
     if not 0 <= args.domain_index < len(cx.faces):
         raise ValueError(f"domain index {args.domain_index} out of range "
@@ -180,11 +185,6 @@ def _spectrum_report(args):
     mesh = meshing.mesh_domain(field, face, args.mesh_h, args.grading,
                                args.truncate,
                                critical_points=cx.critical_points)
-    lam = args.lam
-    if lam is None:
-        if not field.is_eigenfunction:
-            raise ValueError("--lam is required for non-eigenfunction fields")
-        lam = field.eigenvalue()
     return mesh, fem.domain_spectrum_report(field, mesh, lam, args.num_eigs,
                                             args.cluster_tol)
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import geometry, torus
 from .contours import _onto_level, polyline_intersections
-from .critical import MIN, MAX, SADDLE, find_critical_points
+from .critical import MIN, MAX, SADDLE, cusp_exponent, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
-                     ProportionalHessian, UnknownCriticalPoint)
+                     UnknownCriticalPoint)
 from .flow import _point_at_radius, trace_all_neumann_lines
 
 ORDER_RADIUS = 0.02        # radius at which departure angles order the darts
@@ -151,9 +151,8 @@ class NeumannComplex:
     def to_dict(self):
         lines = []
         for ln in self.lines:
-            pts = ln.samples[::REPORT_DECIMATE]
-            if not np.array_equal(pts[-1], ln.samples[-1]):
-                pts = np.vstack([pts, ln.samples[-1]])
+            pts = ln.samples[geometry.stride_indices(len(ln.samples),
+                                                     REPORT_DECIMATE)]
             lines.append({
                 "start": int(ln.start_index),
                 "end": int(ln.end_index),
@@ -175,18 +174,6 @@ class NeumannComplex:
             with open(path, "w") as fh:
                 fh.write(s + "\n")
         return s
-
-
-def cusp_exponent(c):
-    """Cusp exponent alpha >= 1 from the Hessian eigenvalue ratio."""
-    if not c.is_extremum:
-        raise ValueError("cusp exponent is defined at extrema only")
-    if c.is_hess_proportional:
-        raise ProportionalHessian(
-            f"Hessian eigenvalues {tuple(c.hess_eigvals)} are proportional "
-            "to the metric; exponent degenerates to 1")
-    h = np.abs(c.hess_eigvals)
-    return float(np.max(h) / np.min(h))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +366,7 @@ def _fit_cusp_exponent(pieces, k, cp):
     """
     piece_out = pieces[k]                           # leaves the vertex
     piece_in = pieces[k - 1][::-1]                  # reversed: also leaves it
-    h = np.abs(cp.hess_eigvals)
-    slow = cp.hess_eigvecs[:, int(np.argmin(h))]
-    fast = cp.hess_eigvecs[:, int(np.argmax(h))]
+    slow, fast = cp.slow_axis, cp.fast_axis
     origin = piece_out[0]
 
     def local(pts):

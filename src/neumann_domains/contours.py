@@ -261,10 +261,6 @@ def _level_arc(field, polygon, level, saddle_positions):
     return np.array([ka, kb]), np.array(pts)
 
 
-def polyline_length(pts):
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # intersections of two polyline families on the torus
 # ---------------------------------------------------------------------------
@@ -285,8 +281,7 @@ def polyline_intersections(lines_a, lines_b):
     def secant(lines, sums, k, idx):
         pts = lines[k]
         if k not in sums:   # one arc-length sum per polyline with a hit
-            cum = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            sums[k] = np.concatenate([[0.0], np.cumsum(cum)])
+            sums[k] = geometry.arc_lengths(pts)
         cs = sums[k]
         s0 = cs[min(idx, len(cs) - 1)]
         i0 = np.searchsorted(cs, max(0.0, s0 - SECANT_ARC))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import torus
-from .errors import NotMorse, SeedGridTooCoarse
+from .errors import NotMorse, ProportionalHessian, SeedGridTooCoarse
 from .geometry import _tree
 
 NEWTON_TOL = 1e-12        # on |grad f|
@@ -25,6 +25,8 @@ class CriticalPoint:
     kind : 'minimum' | 'maximum' | 'saddle'
     hess_eigvals : ascending pair of Hessian eigenvalues
     hess_eigvecs : (2,2) orthonormal columns matching hess_eigvals
+    slow_axis, fast_axis : the columns of the smaller and of the larger
+        |eigenvalue|; a line ends at an extremum tangent to one of them
     is_hess_proportional : bool, eigenvalues equal within HESS_PROP_TOL
     value : f at the point
     degree : number of incident Neumann lines (filled by the complex stage)
@@ -36,6 +38,9 @@ class CriticalPoint:
         self.kind = kind
         self.hess_eigvals = np.asarray(hess_eigvals, dtype=float)
         self.hess_eigvecs = np.asarray(hess_eigvecs, dtype=float)
+        h = np.abs(self.hess_eigvals)
+        self.slow_axis = self.hess_eigvecs[:, int(np.argmin(h))]
+        self.fast_axis = self.hess_eigvecs[:, int(np.argmax(h))]
         self.value = float(value)
         self.grad_norm = float(grad_norm)
         self.is_hess_proportional = bool(
@@ -62,6 +67,18 @@ class CriticalPoint:
             "is_hess_proportional": self.is_hess_proportional,
             "degree": self.degree,
         }
+
+
+def cusp_exponent(c):
+    """Cusp exponent alpha >= 1 from the Hessian eigenvalue ratio."""
+    if not c.is_extremum:
+        raise ValueError("cusp exponent is defined at extrema only")
+    if c.is_hess_proportional:
+        raise ProportionalHessian(
+            f"Hessian eigenvalues {tuple(c.hess_eigvals)} are proportional "
+            "to the metric; exponent degenerates to 1")
+    h = np.abs(c.hess_eigvals)
+    return float(np.max(h) / np.min(h))
 
 
 def _newton_batch(field, seeds):

@@ -20,6 +20,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (AmbiguousCluster, NonSPDMass, NotAnEigenfunctionField,
                      SolverBreakdown, SpectrumTooShort)
+from .geometry import triangle_areas
 
 DENSE_LIMIT = 0     # no dense path; perfbench/spans.py splits solves on it
 CLUSTER_TOL = 1e-3
@@ -52,8 +53,7 @@ def assemble_p1(mesh):
     t = mesh.triangles
     x = v[t, 0]
     y = v[t, 1]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = triangle_areas(v, t)
     if np.any(area <= 0):
         raise NonSPDMass(f"{int(np.sum(area <= 0))} non-positive triangle areas")
     # gradients of barycentric coordinates

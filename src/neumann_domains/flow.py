@@ -22,8 +22,9 @@ constants below, read at call time.
 import numpy as np
 
 from . import torus
-from .critical import MIN, MAX, SADDLE
+from .critical import MIN, MAX, SADDLE, cusp_exponent
 from .errors import NoConvergence, SteppedOutOfTolerance
+from .geometry import arc_lengths, polyline_length, segment_lengths
 
 # integrator tolerances; tight tolerances keep cusp tangencies resolved
 RTOL = 1e-10
@@ -90,8 +91,7 @@ class FlowLine:
         self.start_index = start_index
         self.end_index = end_index
         self.end_tangent = end_tangent
-        seg = np.diff(samples, axis=0)
-        self.length = float(np.sum(np.linalg.norm(seg, axis=1)))
+        self.length = polyline_length(samples)
 
 
 def _row_norm(v):
@@ -244,7 +244,7 @@ def _integrate_batch(field, x0, sgn, critical_points, start_exclude=None,
 
 def _densify(xs, fs, dt):
     """Cubic-Hermite subdivision of a chain of states into a fine polyline."""
-    chord = np.linalg.norm(np.diff(xs, axis=0), axis=1)
+    chord = segment_lengths(xs)
     nsub = np.maximum(1, np.ceil(chord / RECORD_SPACING).astype(int))
     total = int(np.sum(nsub))
     step_of = np.repeat(np.arange(len(nsub)), nsub)
@@ -262,8 +262,7 @@ def _densify(xs, fs, dt):
 
 def _resample(points):
     """Uniform arclength resampling of a polyline (last point kept exactly)."""
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum = arc_lengths(points)
     L = cum[-1]
     s = np.arange(0.0, L, RESAMPLE_SPACING)
     if L - s[-1] > 1e-12:
@@ -274,70 +273,54 @@ def _resample(points):
     return out
 
 
-def _extrapolate_tangent(c, c_lift, states):
-    """Limit tangent at an extremum from a chain of states ending at capture.
+def _end_tangent(c, c_lift, states, samples):
+    """Unit vector leaving the captured point c into the line.
 
-    Lines arriving tangent to the slow Hessian axis have secant angles that
-    converge like r**beta (beta = |h_max|/|h_min| - 1), so two probe radii
-    inside the capture region extrapolate the angle to r -> 0.  Lines
-    arriving along the fast axis are numerically unstable at depth (tracing
-    noise in the slow coordinate grows as r shrinks); those are flagged so
-    the caller measures them at a moderate radius instead.  Returns a unit
-    vector, the string 'fast', or None.
+    Lines arriving at an extremum tangent to the slow Hessian axis have
+    secant angles that converge like r**beta (beta = |h_max|/|h_min| - 1),
+    so two probe radii inside the capture region, the capture state and the
+    last state at least 3 times as far out, extrapolate the angle to
+    r -> 0.  Lines arriving along the fast axis are numerically unstable at
+    depth (tracing noise in the slow coordinate grows as r shrinks), so
+    they are measured on the resampled ``samples`` at FAST_AXIS_RADIUS
+    instead.  At a saddle, at a proportional Hessian, or without a second
+    probe, the capture chord serves.
     """
-    if c.kind == SADDLE or c.is_hess_proportional:
-        return None
-    h = np.abs(c.hess_eigvals)
-    beta = float(np.max(h) / np.min(h)) - 1.0
-    v1 = states[-1] - c_lift
-    r1 = np.linalg.norm(v1)
-    phi1 = np.arctan2(v1[1], v1[0])
-    fast = c.hess_eigvecs[:, int(np.argmax(h))]
-    slow = c.hess_eigvecs[:, int(np.argmin(h))]
+    v = states[-1] - c_lift
+    if c.is_extremum and not c.is_hess_proportional:
+        r1 = np.linalg.norm(v)
 
-    def axis_dist(v, axis):
-        cosang = abs(np.dot(v, axis)) / np.linalg.norm(v)
-        return np.arccos(np.clip(cosang, -1.0, 1.0))
+        def axis_dist(axis):
+            return np.arccos(np.clip(abs(np.dot(v, axis)) / r1, -1.0, 1.0))
 
-    if axis_dist(v1, fast) < axis_dist(v1, slow):
-        return "fast"
-    # the last step that starts at least 3 r1 out is the second probe
-    far = np.flatnonzero(
-        np.linalg.norm(states[:-1] - c_lift, axis=1) >= 3.0 * r1)
-    if not len(far):
-        return None
-    v2 = states[far[-1]] - c_lift
-    r2 = np.linalg.norm(v2)
-    phi2 = np.arctan2(v2[1], v2[0])
-    dphi = (phi2 - phi1 + np.pi) % (2 * np.pi) - np.pi
-    w = r1 ** beta / (r2 ** beta - r1 ** beta)
-    phi0 = phi1 - dphi * w
-    return np.array([np.cos(phi0), np.sin(phi0)])
+        if axis_dist(c.fast_axis) < axis_dist(c.slow_axis):
+            v = _point_at_radius(samples[::-1], FAST_AXIS_RADIUS) - samples[-1]
+        else:
+            far = np.flatnonzero(
+                np.linalg.norm(states[:-1] - c_lift, axis=1) >= 3.0 * r1)
+            if len(far):
+                v2 = states[far[-1]] - c_lift
+                r2 = np.linalg.norm(v2)
+                beta = cusp_exponent(c) - 1.0
+                phi1 = np.arctan2(v[1], v[0])
+                dphi = (np.arctan2(v2[1], v2[0]) - phi1 + np.pi) \
+                    % (2 * np.pi) - np.pi
+                phi0 = phi1 - dphi * (r1 ** beta / (r2 ** beta - r1 ** beta))
+                return np.array([np.cos(phi0), np.sin(phi0)])
+    return v / np.linalg.norm(v)
 
 
 def _finish_line(chain, cap_index, critical_points, direction, start_index,
                  prepend=None):
-    """Densify, snap the endpoint to the captured critical point, resample.
-
-    The end tangent is the extrapolated limit tangent, a moderate-radius
-    chord for fast-axis arrivals, or else the capture chord.
-    """
+    """Densify, snap the endpoint to the captured critical point, resample."""
     pts = _densify(*chain)
-    end_state = chain[0][-1]
     if prepend is not None:
         pts = np.vstack([prepend, pts])
     c = critical_points[cap_index]
-    c_lift = torus.nearest_lift(c.position, end_state)
-    end_tangent = _extrapolate_tangent(c, c_lift, chain[0])
-    if end_tangent is None:
-        v = end_state - c_lift
-        end_tangent = v / np.linalg.norm(v)
+    c_lift = torus.nearest_lift(c.position, chain[0][-1])
     samples = _resample(np.vstack([pts, c_lift]))
-    if isinstance(end_tangent, str):   # fast-axis arrival
-        v = _point_at_radius(samples[::-1], FAST_AXIS_RADIUS) - samples[-1]
-        end_tangent = v / np.linalg.norm(v)
     return FlowLine(samples, direction, start_index, int(cap_index),
-                    end_tangent)
+                    _end_tangent(c, c_lift, chain[0], samples))
 
 
 def _flow_sign(direction):

@@ -1,11 +1,16 @@
-"""Segment and polygon geometry shared by the complex, the contours and the
-mesher.
+"""Segment, polyline and polygon geometry shared by the flow, the complex,
+the contours, the mesher, the finite elements and the figure.
 
 One exact segment-segment test, the chords that stand in for sampled
 polylines, one broad phase that finds the segment pairs that can
 intersect (on the torus or in the plane), the even-odd
 point-in-polygon rule and the shoelace area.  Every question "which
-segments intersect?" in the package is answered here.
+segments intersect?" in the package is answered here, and so is every
+question of length, stride and area: a polyline's segment lengths, its
+cumulative arc length and its total length, which samples a stride keeps
+(every n-th plus the last, for the chords, the report and the figure),
+and the signed areas of the triangles that the mesher keeps and the P1
+assembly integrates.
 """
 
 import numpy as np
@@ -36,6 +41,33 @@ def segment_hits(a0, a1, b0, b1, eps):
     return hit, t
 
 
+def segment_lengths(pts):
+    """Length of each segment of a polyline."""
+    return np.linalg.norm(np.diff(pts, axis=0), axis=1)
+
+
+def arc_lengths(pts):
+    """Arc length from the first sample to each sample of a polyline."""
+    return np.concatenate([[0.0], np.cumsum(segment_lengths(pts))])
+
+
+def polyline_length(pts):
+    """Total length of a polyline: ``np.sum`` of its segment lengths.
+
+    ``np.sum`` adds pairwise, so the last bits can differ from those of
+    ``arc_lengths(pts)[-1]``, a running sum.
+    """
+    return float(np.sum(segment_lengths(pts)))
+
+
+def stride_indices(n, stride):
+    """Indices of every stride-th of n samples, plus the last one."""
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    return idx
+
+
 def chords(lines, stride):
     """Chords over every stride-th sample of each polyline, plus its last.
 
@@ -45,9 +77,7 @@ def chords(lines, stride):
     """
     owner, start, p0, p1 = [], [], [], []
     for li, pts in enumerate(lines):
-        idx = np.arange(0, len(pts), stride)
-        if idx[-1] != len(pts) - 1:
-            idx = np.append(idx, len(pts) - 1)
+        idx = stride_indices(len(pts), stride)
         owner.append(np.full(len(idx) - 1, li))
         start.append(idx[:-1])
         p0.append(pts[idx[:-1]])
@@ -128,6 +158,13 @@ def _point_in_polygon(pts, poly):
     inside = np.empty(len(pts), dtype=bool)
     inside[order] = (flips & 1).astype(bool)
     return inside
+
+
+def triangle_areas(pts, tris):
+    """Signed area of each triangle pts[tris], counterclockwise > 0."""
+    d1 = pts[tris[:, 1]] - pts[tris[:, 0]]
+    d2 = pts[tris[:, 2]] - pts[tris[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def polygon_area(poly):

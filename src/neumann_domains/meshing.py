@@ -19,11 +19,12 @@ import math
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .contours import _level_arc, polyline_length
+from .contours import _level_arc
 from .errors import (ExceptionalLevel, MeshQualityFailure,
                      SelfIntersectingBoundary)
-from .geometry import (_point_in_polygon, candidate_pairs, polygon_area,
-                       segment_hits)
+from .geometry import (_point_in_polygon, arc_lengths, candidate_pairs,
+                       polygon_area, polyline_length, segment_hits,
+                       segment_lengths, triangle_areas)
 
 H_MIN_FACTOR = 64.0        # finest graded size is h / 64
 MIN_ANGLE_DEG = 15.0       # quality gate away from cusp neighbourhoods
@@ -58,11 +59,7 @@ class TriMesh:
         return self.num_vertices - edges + len(self.triangles) == 1
 
     def triangle_areas(self):
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return triangle_areas(self.vertices, self.triangles)
 
     def min_angles(self):
         return _min_angles(self.vertices, self.triangles)
@@ -204,61 +201,39 @@ def _resample_by_size(pts, size):
     boundary points by 0.72 * size, so an interval over 2 * 0.72 * size
     leaves room for a lattice point on it and a sliver triangle beside it.
 
-    Without size-field centers the step is h throughout, and the arcs are
-    the sequential sum that ``np.cumsum`` forms.  With centers each step
-    reads the size at the last sample, placed as ``np.interp`` places it
-    (``_walk_arcs``).
-    """
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    L = cum[-1]
-
-    xs, ys = np.ascontiguousarray(pts.T)
-    if len(size.centers):
-        arcs = _walk_arcs(cum, xs, ys, size)
-    else:
-        step = max(size.h, 1e-9)
-        arcs = np.full(int(L / step) + 3, step)
-        arcs[0] = 0.0
-        arcs = np.cumsum(arcs)
-        # the first arc with less than 1.5 steps left is the last one
-        arcs = arcs[:np.argmax(L - arcs < 1.5 * step) + 1]
-    if len(arcs) > 1:
-        arcs[-1] = arcs[-2] + 0.5 * (L - arcs[-2])
-    out = np.column_stack([np.interp(arcs, cum, xs),
-                           np.interp(arcs, cum, ys)])
-    return np.vstack([out, pts[-1:]])
-
-
-def _walk_arcs(cum, xs, ys, size):
-    """Arcs stepped by the size at the last one while 1.5 steps remain.
-
     The arcs only grow, so the segment that holds each one is found by
     walking on from the last, and the point there has the bits of
     ``np.interp(s, cum, xs)`` and ``np.interp(s, cum, ys)``: the segment's
     start where s falls on it, else slope * (s - start) + start value.
     """
-    cum, xs, ys = cum.tolist(), xs.tolist(), ys.tolist()
-    L = cum[-1]
+    cum = arc_lengths(pts)
+    xs, ys = np.ascontiguousarray(pts.T)
+    c, x, y = cum.tolist(), xs.tolist(), ys.tolist()
+    L = c[-1]
     arcs = [0.0]
     j = 0
     while True:
         s = arcs[-1]
         if s >= L:
-            at = (xs[-1], ys[-1])
+            at = (x[-1], y[-1])
         else:
-            while cum[j + 1] <= s:
+            while c[j + 1] <= s:
                 j += 1
-            if s == cum[j]:
-                at = (xs[j], ys[j])
+            if s == c[j]:
+                at = (x[j], y[j])
             else:
-                d = cum[j + 1] - cum[j]
-                at = ((xs[j + 1] - xs[j]) / d * (s - cum[j]) + xs[j],
-                      (ys[j + 1] - ys[j]) / d * (s - cum[j]) + ys[j])
+                d = c[j + 1] - c[j]
+                at = ((x[j + 1] - x[j]) / d * (s - c[j]) + x[j],
+                      (y[j + 1] - y[j]) / d * (s - c[j]) + y[j])
         step = max(size(at), 1e-9)
         if L - s < 1.5 * step:
-            return arcs
+            break
         arcs.append(s + step)
+    if len(arcs) > 1:
+        arcs[-1] = arcs[-2] + 0.5 * (L - arcs[-2])
+    out = np.column_stack([np.interp(arcs, cum, xs),
+                           np.interp(arcs, cum, ys)])
+    return np.vstack([out, pts[-1:]])
 
 
 def _self_intersects(poly):
@@ -320,8 +295,7 @@ def _interior_points(polygon, boundary_pts, size):
             boxes = [(lo, hi)]
         elif len(centers) == 0:
             # the h/2 band, with the relative slack of clear's
-            longest = np.max(np.linalg.norm(np.diff(polygon, axis=0),
-                                            axis=1))
+            longest = np.max(segment_lengths(polygon))
             boxes, near = [(lo, hi)], boundary_pts
             width = ((0.72 + 1.0 / np.sqrt(3)) * h
                      + 0.5 * longest) * (1 + 1e-9)
@@ -488,12 +462,10 @@ def _mesh_polygon(pieces, size):
         # qhull returns flat triangles (areas ~1e-16) on runs of collinear
         # boundary samples; their centroids lie on the boundary, so the
         # centroid cull alone would keep them
-        d1 = sites[simplices[:, 1]] - sites[simplices[:, 0]]
-        d2 = sites[simplices[:, 2]] - sites[simplices[:, 0]]
-        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        flip = area2 < 0
+        area = triangle_areas(sites, simplices)
+        flip = area < 0
         simplices[flip] = simplices[flip][:, [0, 2, 1]]
-        simplices = simplices[0.5 * np.abs(area2) > flat_area]
+        simplices = simplices[np.abs(area) > flat_area]
         cent = sites[simplices].mean(axis=1)
         simplices = simplices[_point_in_polygon(cent, polygon)]
         if len(again):

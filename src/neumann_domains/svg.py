@@ -4,6 +4,7 @@ circles at saddles, triangles at extrema (up for maxima, down for minima)."""
 import numpy as np
 
 from . import torus
+from .geometry import stride_indices
 
 SCALE = 120.0           # pixels per unit; fundamental domain is 2*pi wide
 MARGIN = 12.0
@@ -30,10 +31,7 @@ def _split_wrapped(pts):
 
 
 def _path(points, height, style, decimate=1):
-    pts = points[::decimate]
-    if not np.array_equal(pts[-1], points[-1]):
-        pts = np.vstack([pts, points[-1]])
-    px = _to_px(pts, height)
+    px = _to_px(points[stride_indices(len(points), decimate)], height)
     d = "M " + " L ".join(f"{p[0]:.2f} {p[1]:.2f}" for p in px)
     return f'<path d="{d}" fill="none" {style}/>'
 

@@ -14,6 +14,7 @@ from neumann_domains import (build_complex, cli, cusp_length_decay,
                              restriction_residual, spectral_position,
                              structured_rect_mesh, truncate_domain)
 from neumann_domains.cli import main
+from neumann_domains.errors import EulerMismatch
 
 
 def run(tmp_path, *argv):
@@ -282,10 +283,46 @@ def test_truncating_a_cracked_face_is_refused(tmp_path, capsys):
     i = crack["cracked_faces"][0]
     code, out = run(tmp_path / "t", "spectrum", "--field",
                     crack["field_file"], "--domain-index", str(i),
-                    "--mesh-h", "0.15", "--truncate", "0.9")
+                    "--mesh-h", "0.15", "--truncate", "0.9", "--lam", "1")
     assert code == 2
     assert f"face {i} is cracked" in capsys.readouterr().err
     assert not (out / "spectrum.json").exists()
+
+
+def test_missing_lam_is_refused_before_any_work(crack_field, tmp_path,
+                                                monkeypatch, capsys):
+    # a cracked field is no eigenfunction, so a report needs --lam; the run
+    # once built the complex and meshed the face before refusing
+    field = tmp_path / "field_cracked.json"
+    crack_field.to_json(str(field))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_complex ran without --lam")
+
+    monkeypatch.setattr(cli, "build_complex", no_build)
+    capsys.readouterr()
+    for command in ("spectrum", "position"):
+        code, out = run(tmp_path / command, command, "--field", str(field))
+        assert code == 2, command
+        assert ("--lam is required for non-eigenfunction fields"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_assertion_failures_exit_4(tmp_path, monkeypatch, capsys):
+    def mismatch(*args, **kwargs):
+        raise EulerMismatch("face boundary does not close in the plane")
+
+    monkeypatch.setattr(cli, "build_complex", mismatch)
+    capsys.readouterr()
+    code, _ = run(tmp_path / "c", "complex", "--field", "separable")
+    assert code == 4
+    assert "assertion failure:" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_invariants",
+                        lambda *args: [("euler", False, "stubbed failure")])
+    code, out = run(tmp_path / "v", "verify", "--field", "separable")
+    assert code == 4
+    assert '"ok": false' in (out / "verify.json").read_text()
 
 
 # every argument rule, written once in the module that uses the value:

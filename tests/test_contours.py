@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from neumann_domains import MorseField, level_arc_in_face, nodal_set
-from neumann_domains.contours import _edge_roots, polyline_length
+from neumann_domains.contours import _edge_roots
 from neumann_domains.errors import ExceptionalLevel
+from neumann_domains.geometry import polyline_length
 
 
 class QuadModel:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from neumann_domains import (build_crack_perturbation, mesh_domain,
+from neumann_domains import (CrackPerturbation, MorseField,
+                             build_crack_perturbation, mesh_domain,
                              neumann_spectrum, verify_cracked)
 from neumann_domains.cracked import EFFECTIVE_PEAK, GAMMA0
-from neumann_domains.errors import (AmplitudeTooSmall,
+from neumann_domains.errors import (AmplitudeTooSmall, ConstructionFailed,
                                     PatchContainsCriticalPoint, PatchTooLarge)
 from neumann_domains.fields import bump_alpha, bump_beta, bump_gamma
 
@@ -190,6 +191,17 @@ def test_unperturbed_base_has_no_cracks(sep_complex):
 def test_verify_requires_perturbation(separable):
     with pytest.raises(ValueError):
         verify_cracked(separable)
+
+
+def test_too_small_bump_fails_the_construction(separable, crack_field):
+    # K = 0.1 is far under the amplitude gate, which a perturbation built
+    # directly skips: the bump adds no critical point to the patch
+    p = crack_field.perturbations[-1]
+    weak = MorseField(zip(separable.amp, *separable.wave.T, separable.phase),
+                      [CrackPerturbation(p.center, p.frame, p.scale, p.A, 0.1)])
+    with pytest.raises(ConstructionFailed, match="expected 2 critical points "
+                       "inside the patch, found 0"):
+        verify_cracked(weak, 16)
 
 
 def test_exactly_two_new_points_by_sign_census(crack_field):
