@@ -6,15 +6,19 @@ periodic lattice (Lorensen & Cline 1987): numpy computes every cell's case
 code, a case table gives the crossing-edge pairs (saddle cells 5 and 10 are
 split by the sign at the cell centre), all crossing edges are refined on
 the exact field at once, and the segments are chained into closed loops
-through the two cells that share each crossing edge.  The pass holds one
-float per lattice node and a byte per cell: the field is evaluated a block
-of whole rows at a time into one preallocated array, and whole rows keep
-every row's evaluation, and so its bits, the same as on the full lattice.
+through the two cells that share each crossing edge.  The lattice stage
+holds one float per node and a byte per cell: the field is evaluated a
+block of whole rows at a time into one preallocated array, and whole rows
+keep every row's evaluation, and so its bits, the same as on the full
+lattice.  Only the crossing edges outlive that stage, so the root
+refinement and the loop walk hold O(crossings) data.
 
 Level lines used for cusp truncation are traced by a predictor-corrector
 walker that stays inside a given face polygon; its boundary crossings are
 refined by the same root kernel.
 """
+
+import numbers
 
 import numpy as np
 
@@ -79,8 +83,86 @@ _CASES[10] = _CASES[5, ::-1]
 
 
 def _check_grid_res(grid_res):
+    if not isinstance(grid_res, numbers.Integral):
+        raise ValueError(f"grid_res {grid_res!r} must be an integer")
     if grid_res < 8:
         raise ValueError(f"grid_res {grid_res} must be at least 8")
+
+
+def _lattice_values(field, g):
+    """The field on the lattice g x g, one float per node, row by row.
+
+    The field is evaluated _ROW_BLOCK whole rows at a time: a block of whole
+    rows passes each row to the field as the same (n, 2) slice as the full
+    lattice does, so every value is computed bit for bit as there.
+    """
+    n = len(g)
+    raw = np.empty((n, n))
+    block = np.empty((min(_ROW_BLOCK, n), n, 2))
+    block[..., 1] = g
+    for r in range(0, n, _ROW_BLOCK):
+        rows = block[:n - r]
+        rows[..., 0] = g[r:r + _ROW_BLOCK, None]
+        raw[r:r + len(rows)] = field.value(rows)
+    return raw.ravel()
+
+
+def _cell_codes(raw, level, n):
+    """The _CASES code of every lattice cell, a byte per cell."""
+    up = (raw > level).reshape(n, n).view(np.uint8)
+    right = np.roll(up, -1, 0)
+    return (up | right << 1 | np.roll(right, -1, 1) << 2
+            | np.roll(up, -1, 1) << 3).ravel()
+
+
+def _segment_ends(field, g, step, level, cells, code):
+    """Edge ids of the segment ends in the given cells, two per segment.
+
+    g holds the lattice coordinates, step their spacing.  An edge id is the
+    node id i*n + j for the edge from node (i, j) towards +x, and n*n + node
+    id for the one towards +y.
+    """
+    n = len(g)
+    i, j = np.divmod(cells, n)
+    centre = np.zeros(len(cells), dtype=int)
+    sad = (code == 5) | (code == 10)
+    centre[sad] = field.value(
+        np.stack([g[i[sad]] + 0.5 * step, g[j[sad]] + 0.5 * step], -1)) > level
+    edges = np.stack([i * n + j, n * n + (i + 1) % n * n + j,
+                      i * n + (j + 1) % n, n * n + i * n + j], -1)
+    pairs = _CASES[code, centre].reshape(-1, 4)
+    return np.take_along_axis(edges, pairs % 4, 1)[pairs >= 0]
+
+
+def _lattice_crossings(field, n):
+    """The lattice stage of nodal_set: the crossing edges of an n x n lattice.
+
+    Returns None when no cell is cut, and otherwise (level, order, p0, p1,
+    f0, f1): the shifted level, the argsort of the segment ends by edge id,
+    and, one row per crossing edge in that order, its ends p0, p1 and the
+    field values f0, f1 there.  Each lattice-sized array dies with the
+    helper that makes it, and the float lattice on return.
+    """
+    g = np.arange(n) / n * torus.PERIOD
+    step = torus.PERIOD / n
+    raw = _lattice_values(field, g)
+    # an infinitesimal level shift removes exact zeros at lattice points and
+    # splits nodal crossings at saddles into separate branches
+    level = 1e-9 * max(1.0, float(max(raw.max(), -raw.min())))
+    code = _cell_codes(raw, level, n)
+    cells = np.flatnonzero((code != 0) & (code != 15))
+    if not len(cells):
+        return None
+    code = code[cells]
+    ends = _segment_ends(field, g, step, level, cells, code)
+    # sorting the segment ends pairs up the two ends on each crossing edge
+    order = np.argsort(ends, kind="stable")
+    vert, node = np.divmod(ends[order[0::2]], n * n)
+    ei, ej = np.divmod(node, n)
+    p0 = np.stack([g[ei], g[ej]], -1)
+    p1 = p0 + np.where(vert[:, None] == 1, [0.0, step], [step, 0.0])
+    far = np.where(vert == 1, ei * n + (ej + 1) % n, (ei + 1) % n * n + ej)
+    return level, order, p0, p1, raw[node], raw[far]
 
 
 def nodal_set(field, grid_res):
@@ -90,65 +172,27 @@ def nodal_set(field, grid_res):
     crossing edge of the lattice borders two cells, so each polyline is a
     closed loop that repeats its first point (up to a period shift for a
     loop that winds around the torus).  Empty when the field has a fixed
-    sign.  ``grid_res`` must be at least 8.
+    sign.  ``grid_res`` must be an integer, at least 8.
 
-    Memory is one float per lattice node plus a byte per cell, beyond the
-    output.  The field is evaluated _ROW_BLOCK whole rows at a time: a block
-    of whole rows passes each row to the field as the same (n, 2) slice as
-    the full lattice does, so every value is computed bit for bit as there.
+    The lattice stage holds one float per lattice node and a byte per cell,
+    beyond the output; it hands on only the crossing edges, so the root
+    refinement and the loop walk hold O(crossings) data.
     """
     _check_grid_res(grid_res)
-    n = int(grid_res)
-    g = np.arange(n) / n * torus.PERIOD
-    step = torus.PERIOD / n
-    raw = np.empty((n, n))
-    block = np.empty((min(_ROW_BLOCK, n), n, 2))
-    block[..., 1] = g
-    for r in range(0, n, _ROW_BLOCK):
-        rows = block[:n - r]
-        rows[..., 0] = g[r:r + _ROW_BLOCK, None]
-        raw[r:r + len(rows)] = field.value(rows)
-    raw = raw.ravel()
-    # an infinitesimal level shift removes exact zeros at lattice points and
-    # splits nodal crossings at saddles into separate branches
-    level = 1e-9 * max(1.0, float(max(raw.max(), -raw.min())))
-    up = (raw > level).reshape(n, n).view(np.uint8)
-    right = np.roll(up, -1, 0)
-    code = (up | right << 1 | np.roll(right, -1, 1) << 2
-            | np.roll(up, -1, 1) << 3).ravel()
-    cells = np.flatnonzero((code != 0) & (code != 15))
-    if not len(cells):
+    crossings = _lattice_crossings(field, int(grid_res))
+    if crossings is None:
         return []
-    code = code[cells]
-    i, j = np.divmod(cells, n)
-    centre = np.zeros(len(cells), dtype=int)
-    sad = (code == 5) | (code == 10)
-    centre[sad] = field.value(
-        np.stack([g[i[sad]] + 0.5 * step, g[j[sad]] + 0.5 * step], -1)) > level
-    # edge ids: node id i*n + j for the edge from node (i, j) towards +x,
-    # n*n + node id for the one towards +y
-    edges = np.stack([i * n + j, n * n + (i + 1) % n * n + j,
-                      i * n + (j + 1) % n, n * n + i * n + j], -1)
-    pairs = _CASES[code, centre].reshape(-1, 4)
-    ends = np.take_along_axis(edges, pairs % 4, 1)[pairs >= 0]
-
-    # sorting the segment ends pairs up the two ends on each crossing edge
-    order = np.argsort(ends, kind="stable")
+    level, order, p0, p1, f0, f1 = crossings
     partner = np.empty_like(order)
     partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
     row = np.empty_like(order)
     row[order] = np.arange(len(order)) // 2
-    vert, node = np.divmod(ends[order[0::2]], n * n)
-    ei, ej = np.divmod(node, n)
-    p0 = np.stack([g[ei], g[ej]], -1)
-    p1 = p0 + np.where(vert[:, None] == 1, [0.0, step], [step, 0.0])
-    far = np.where(vert == 1, ei * n + (ej + 1) % n, (ei + 1) % n * n + ej)
-    roots = _edge_roots(field, p0, p1, raw[node], raw[far], level)
+    roots = _edge_roots(field, p0, p1, f0, f1, level)
 
     # walk each loop from its first segment s: end 2s+1 leads to its
     # partner end, whose other end leads on
     nxt = (partner ^ 1).tolist()
-    used = np.zeros(len(ends) // 2, dtype=bool)
+    used = np.zeros(len(order) // 2, dtype=bool)
     walk, first = [], []
     for s in range(len(used)):
         if used[s]:

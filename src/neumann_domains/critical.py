@@ -1,5 +1,7 @@
 """Critical points of a torus field: Newton search, classification, census checks."""
 
+import numbers
+
 import numpy as np
 
 from . import torus
@@ -159,6 +161,8 @@ def _seed_lattice(field, n):
 
 
 def _check_seed_grid(seed_grid):
+    if not isinstance(seed_grid, numbers.Integral):
+        raise ValueError(f"seed_grid {seed_grid!r} must be an integer")
     if seed_grid < 8:
         raise ValueError(f"seed_grid {seed_grid} must be at least 8")
 
@@ -169,7 +173,8 @@ def find_critical_points(field, seed_grid=24):
     Newton iteration runs from a ``seed_grid`` x ``seed_grid`` lattice; roots
     are deduplicated on the torus and classified through the exact Hessian.
     The census is recomputed on the doubled lattice and must agree (raises
-    SeedGridTooCoarse otherwise).
+    SeedGridTooCoarse otherwise).  ``seed_grid`` must be an integer, at
+    least 8.
     """
     _check_seed_grid(seed_grid)
     pts = _census(field, seed_grid)

@@ -159,7 +159,11 @@ def _inertia(K, M, theta):
     symmetric LU factorisation of K - theta*M (spectrum slicing).  Only the
     pivot signs are read, so the supernode settings (``relax``,
     ``panel_size``) are tuned for speed; the factors whose solves set
-    report bits keep scipy's.
+    report bits keep scipy's.  Neither setting may exceed 20: on the
+    12,840-vertex square, scipy 1.17.1's ``splu`` corrupts the heap with
+    ``panel_size=21``, and with ``relax=21`` under its default options
+    (glibc's malloc checker aborts with "free(): invalid pointer").  CI
+    runs such reports under that checker.
     Returns an int so that each factorisation is freed before the next one
     starts.
     """

@@ -58,12 +58,6 @@ class TriMesh:
         edges = len(_edge_keys(self.triangles, self.num_vertices))
         return self.num_vertices - edges + len(self.triangles) == 1
 
-    def triangle_areas(self):
-        return triangle_areas(self.vertices, self.triangles)
-
-    def min_angles(self):
-        return _min_angles(self.vertices, self.triangles)
-
     def to_off(self, path):
         with open(path, "w") as fh:
             fh.write("OFF\n")

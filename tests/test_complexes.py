@@ -287,6 +287,17 @@ def test_nodal_grid_res_floor(separable):
             nodal_set(separable, res)
 
 
+def test_nodal_grid_res_integer(separable):
+    # 100.7 once ran at 100 and inf raised an untyped OverflowError
+    for res in (100.7, 16.0, float("inf"), float("nan"), "64"):
+        with pytest.raises(ValueError, match="grid_res .* must be an integer"):
+            nodal_set(separable, res)
+    # numpy integers are integers
+    for a, b in zip(nodal_set(separable, np.int64(64)),
+                    nodal_set(separable, 64), strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_nodal_fixed_sign_empty():
     from neumann_domains import MorseField
     f = MorseField([(1.0, 0, 0, 0.0), (0.2, 1, 0, 0.0)])  # 1 + 0.2 cos x > 0

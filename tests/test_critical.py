@@ -88,6 +88,20 @@ def test_seed_grid_floor(separable):
         find_critical_points(separable, 4)
 
 
+def test_seed_grid_integer(separable):
+    # 16.5 once seeded a 17-point row that overran the period, and inf
+    # raised numpy's "Maximum allowed size exceeded"
+    for seed_grid in (16.5, 16.0, float("inf"), float("nan"), "16"):
+        with pytest.raises(ValueError,
+                           match="seed_grid .* must be an integer"):
+            find_critical_points(separable, seed_grid)
+    # numpy integers are integers
+    got = find_critical_points(separable, np.int64(16))
+    ref = find_critical_points(separable, 16)
+    assert [p.position.tolist() for p in got] == \
+        [p.position.tolist() for p in ref]
+
+
 def test_dedup_matches_brute_force_rule():
     # a root is kept unless an earlier kept root lies within DEDUP_RADIUS on
     # the torus, so a chain of roots 0.7 radii apart keeps every other one
