@@ -247,17 +247,13 @@ def cmd_verify(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parse_args(build_parser(), argv)
-        critical._check_seed_grid(args.seed_grid)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     handlers = {
         "crit": cmd_crit, "complex": cmd_complex, "spectrum": cmd_spectrum,
         "position": cmd_position, "crack": cmd_crack, "verify": cmd_verify,
     }
     try:
+        args = _parse_args(build_parser(), argv)
+        critical._check_seed_grid(args.seed_grid)
         return handlers[args.command](args)
     except ASSERTION_ERRORS as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

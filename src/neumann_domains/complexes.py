@@ -206,7 +206,7 @@ def _tie_break_ccw(lines, dart_a, dart_b):
     """
     pa = _oriented_from_origin(lines, dart_a)
     pb = _oriented_from_origin(lines, dart_b)
-    pb = pb + torus.PERIOD * np.round((pa[0] - pb[0]) / torus.PERIOD)
+    pb = pb + torus.period_shift(pa[0] - pb[0])
     n = min(len(pa), len(pb))
     t = pa[1:n] - pa[:n - 1]
     d = pb[:n - 1] - pa[:n - 1]
@@ -283,7 +283,7 @@ def _lift_chain(lines, chain):
         vertex_seq.append(ln.start_index if d % 2 == 0 else ln.end_index)
         if cur is None:
             cur = torus.wrap(pts[0])
-        off = torus.PERIOD * np.round((cur - pts[0]) / torus.PERIOD)
+        off = torus.period_shift(cur - pts[0])
         if np.linalg.norm(pts[0] + off - cur) > 1e-6:
             raise EulerMismatch("boundary chain does not lift continuously")
         if first is None:

@@ -344,13 +344,8 @@ def polyline_intersections(lines_a, lines_b):
     hit, t = geometry.segment_hits(a0, a1, q0[ib], q1[ib], -1e-12)
     ib, ia, t = ib[hit], ia[hit], t[hit]
     pts = torus.wrap(a0[hit] + t[:, None] * (a1[hit] - a0[hit]))
-    # adjacent segments hitting the same crossing give duplicates: a hit is
-    # kept unless an earlier kept one lies within 1e-6, so only the hits
-    # with an earlier one that close are walked in order
-    close = torus.pairwise_dist(pts, pts) < 1e-6
-    keep = np.ones(len(pts), dtype=bool)
-    for k in np.flatnonzero(np.triu(close, 1).any(axis=0)):
-        keep[k] = not (close[k, :k] & keep[:k]).any()
+    # adjacent segments hitting the same crossing give duplicates
+    keep = torus.distinct(pts, 1e-6)
     sums_a, sums_b = {}, {}
     return [(pt, secant(lines_a, sums_a, la[i], ka[i]),
              secant(lines_b, sums_b, lb[j], kb[j]))

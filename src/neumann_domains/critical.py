@@ -6,7 +6,6 @@ import numpy as np
 
 from . import torus
 from .errors import NotMorse, ProportionalHessian, SeedGridTooCoarse
-from .geometry import _tree
 
 NEWTON_TOL = 1e-12        # on |grad f|
 NEWTON_MAX_ITER = 50
@@ -114,17 +113,6 @@ def _newton_batch(field, seeds):
     return torus.wrap(X[conv])
 
 
-def _dedup(points):
-    """Merge points closer than DEDUP_RADIUS on the torus (keep the first)."""
-    tree = _tree(points, periodic=True)
-    dropped = np.zeros(len(points), dtype=bool)
-    for k in range(len(points)):
-        if not dropped[k]:
-            ball = tree.query_ball_point(tree.data[k], DEDUP_RADIUS)
-            dropped[[j for j in ball if j > k]] = True
-    return points[~dropped]
-
-
 def _classify(field, positions):
     pts = []
     for pos in positions:
@@ -198,7 +186,7 @@ def _census(field, n):
     roots = _newton_batch(field, _seed_lattice(field, n))
     if len(roots) == 0:
         raise NotMorse("no critical points found; field may be degenerate")
-    roots = _dedup(roots)
+    roots = roots[torus.distinct(roots, DEDUP_RADIUS)]
     # deterministic order: kind is not known yet, sort by (x, y)
     order = np.lexsort((roots[:, 1], roots[:, 0]))
     return _classify(field, roots[order])

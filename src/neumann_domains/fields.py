@@ -213,6 +213,8 @@ class MorseField:
         modes = list(modes)
         if not modes:
             raise ValueError("at least one mode is required")
+        if any(np.ndim(v) != 0 for mo in modes for v in mo):
+            raise ValueError("mode entries must be single numbers")
         self.amp = np.array([mo[0] for mo in modes], dtype=float)
         self.wave = np.array([[mo[1], mo[2]] for mo in modes], dtype=float)
         if not (np.isfinite(self.wave).all()

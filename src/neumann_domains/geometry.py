@@ -3,14 +3,15 @@ the contours, the mesher, the finite elements and the figure.
 
 One exact segment-segment test, the chords that stand in for sampled
 polylines, one broad phase that finds the segment pairs that can
-intersect (on the torus or in the plane), the even-odd
-point-in-polygon rule and the shoelace area.  Every question "which
-segments intersect?" in the package is answered here, and so is every
-question of length, stride and area: a polyline's segment lengths, its
-cumulative arc length and its total length, which samples a stride keeps
-(every n-th plus the last, for the chords, the report and the figure),
-and the signed areas of the triangles that the mesher keeps and the P1
-assembly integrates.
+intersect (in the plane, or on the torus through the periodic tree and
+period shift of ``torus``, which owns all period arithmetic), the
+even-odd point-in-polygon rule and the shoelace area.  Every question
+"which segments intersect?" in the package is answered here, and so is
+every question of length, stride and area: a polyline's segment lengths,
+its cumulative arc length and its total length, which samples a stride
+keeps (every n-th plus the last, for the chords, the report and the
+figure), and the signed areas of the triangles that the mesher keeps and
+the P1 assembly integrates.
 """
 
 import numpy as np
@@ -86,19 +87,6 @@ def chords(lines, stride):
             np.concatenate(p0), np.concatenate(p1))
 
 
-def _in_box(pts):
-    """Points wrapped into [0, 2*pi), as a periodic cKDTree takes them."""
-    pts = torus.wrap(pts)
-    pts[pts >= torus.PERIOD] = 0.0      # np.mod(-tiny, P) rounds up to P
-    return pts
-
-
-def _tree(mid, periodic):
-    if not periodic:
-        return cKDTree(mid)
-    return cKDTree(_in_box(mid), boxsize=torus.PERIOD)
-
-
 def candidate_pairs(a0, a1, b0=None, b1=None, periodic=True):
     """Index pairs (i, j) of segments a[i], b[j] that may intersect.
 
@@ -118,19 +106,19 @@ def candidate_pairs(a0, a1, b0=None, b1=None, periodic=True):
     radius = 0.5 * (np.max(np.linalg.norm(a1 - a0, axis=1))
                     + np.max(np.linalg.norm(b1 - b0, axis=1)))
     radius *= 1.0 + 1e-9                # slack for the distance's rounding
-    tree_a = _tree(mid_a, periodic)
+    tree = torus.tree if periodic else cKDTree
+    tree_a = tree(mid_a)
     if same:
         ij = tree_a.query_pairs(radius, output_type="ndarray")
         i, j = ij[:, 0], ij[:, 1]
     else:
-        m = tree_a.sparse_distance_matrix(_tree(mid_b, periodic), radius,
+        m = tree_a.sparse_distance_matrix(tree(mid_b), radius,
                                           output_type="ndarray")
         i, j = m["i"], m["j"]
     order = np.lexsort((j, i))
     i, j = i[order], j[order]
-    shift = np.zeros((len(i), 2))
-    if periodic:
-        shift = torus.PERIOD * np.round((mid_a[i] - mid_b[j]) / torus.PERIOD)
+    shift = (torus.period_shift(mid_a[i] - mid_b[j]) if periodic
+             else np.zeros((len(i), 2)))
     return i, j, shift
 
 

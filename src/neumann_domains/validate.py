@@ -5,7 +5,7 @@ import numpy as np
 from . import torus
 from .complexes import build_complex
 from .critical import MAX, MIN, _census
-from .geometry import _point_in_polygon, _tree
+from .geometry import _point_in_polygon
 
 HAUSDORFF_TOL = 1e-4
 ANGLE_SUM_TOL = 1e-3
@@ -18,7 +18,7 @@ def _line_cloud(cx):
 
 def hausdorff_torus(a, b):
     """Symmetric Hausdorff distance between two point clouds on the torus."""
-    ta, tb = _tree(a, periodic=True), _tree(b, periodic=True)
+    ta, tb = torus.tree(a), torus.tree(b)
     d_ab, _ = tb.query(ta.data)
     d_ba, _ = ta.query(tb.data)
     return max(float(np.max(d_ab)), float(np.max(d_ba)))

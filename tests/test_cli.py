@@ -156,15 +156,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["spectrum", "--field", "anisotropic", "--domain-index",
                  "99", "--out", str(tmp_path / "o")]) == 2
     # malformed field files: no modes, not an object, a mode without an
-    # amplitude, an empty perturbation, a null phase and waves that are not
-    # integers (json writes and reads inf as Infinity)
+    # amplitude, an empty perturbation, a null phase, waves that are not
+    # integers (json writes and reads inf as Infinity) and a list phase
     two_modes = [{"a": 1.0, "m": 1, "n": 0}, {"a": 1.0, "m": 0, "n": 1}]
     for i, bad in enumerate((
             {"foo": 1}, [1, 2], {"modes": [{"m": 1, "n": 0}]},
             {"modes": two_modes, "perturbations": [{}]},
             {"modes": [{**two_modes[0], "theta": None}, two_modes[1]]},
             {"modes": [{**two_modes[0], "m": float("inf")}, two_modes[1]]},
-            {"modes": [{**two_modes[0], "m": 3.00001}, two_modes[1]]})):
+            {"modes": [{**two_modes[0], "m": 3.00001}, two_modes[1]]},
+            {"modes": [{**two_modes[0], "theta": [0.0, 0.5]}, two_modes[1]]})):
         path = tmp_path / f"bad_field{i}.json"
         path.write_text(json.dumps(bad))
         assert main(["crit", "--field", str(path),
@@ -201,6 +202,13 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["crack", "--field", "separable", "--center", "0,0",
                      "--out", str(tmp_path / "o")]) == 3
     assert "Warning" not in capsys.readouterr().err
+    # an 8 x 8 seed lattice undercounts the roots of cos 7x + cos 7y
+    path = tmp_path / "cos7.json"
+    path.write_text(json.dumps({"modes": [{"a": 1.0, "m": 7, "n": 0},
+                                          {"a": 1.0, "m": 0, "n": 7}]}))
+    assert main(["crit", "--field", str(path), "--seed-grid", "8",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "roots at n=8" in capsys.readouterr().err
 
     # out-of-range or infinite mesh size, eigenvalue count, cluster
     # tolerance, truncation level, grading, eigenvalue and nodal grid:

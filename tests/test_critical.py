@@ -5,7 +5,7 @@ from conftest import grid_sign_census
 from neumann_domains import MorseField, euler_check, find_critical_points
 from neumann_domains import torus
 from neumann_domains.critical import (DEDUP_RADIUS, MAX, MIN, SADDLE,
-                                      CriticalPoint, _census, _dedup)
+                                      CriticalPoint, _census)
 from neumann_domains.errors import NotMorse, SeedGridTooCoarse
 
 
@@ -83,6 +83,26 @@ def test_degenerate_field_rejected():
         find_critical_points(MorseField([(1.0, 1, 0, 0.0)]), 16)
 
 
+def test_coarse_seed_grid_rejected():
+    # cos 7x + cos 7y has 196 critical points, which an 8 x 8 lattice
+    # undercounts
+    with pytest.raises(SeedGridTooCoarse,
+                       match="28 roots at n=8 but 148 at n=16"):
+        find_critical_points(MorseField([(1, 7, 0, 0), (1, 0, 7, 0)]), 8)
+
+
+def test_census_stays_in_the_fundamental_domain():
+    # np.mod rounds a tiny negative coordinate up to 2*pi; the census of
+    # cos(x + y) + 0.7 cos(x - y) once reported (pi, 2*pi) and (2*pi, pi)
+    np.testing.assert_array_equal(torus.wrap(np.array([-1e-17, 1.0])),
+                                  [0.0, 1.0])
+    pts = find_critical_points(MorseField([(1, 1, 1, 0), (0.7, 1, -1, 0)]),
+                               24)
+    xy = np.array([p.position for p in pts])
+    assert len(xy) == 8
+    assert (xy >= 0.0).all() and (xy < 2 * np.pi).all(), xy
+
+
 def test_seed_grid_floor(separable):
     with pytest.raises(ValueError):
         find_critical_points(separable, 4)
@@ -105,6 +125,9 @@ def test_seed_grid_integer(separable):
 def test_dedup_matches_brute_force_rule():
     # a root is kept unless an earlier kept root lies within DEDUP_RADIUS on
     # the torus, so a chain of roots 0.7 radii apart keeps every other one
+    def dedup(points):
+        return points[torus.distinct(points, DEDUP_RADIUS)]
+
     def brute(points):
         kept = []
         for p in points:
@@ -124,8 +147,8 @@ def test_dedup_matches_brute_force_rule():
     pts = np.vstack([np.mod(pts, P), chain, [[P, 3.0], [1.0, P], [P, P]]])
     for seed in range(20):
         order = np.random.default_rng(seed).permutation(len(pts))
-        np.testing.assert_array_equal(_dedup(pts[order]), brute(pts[order]))
-    assert len(_dedup(chain)) == 3
+        np.testing.assert_array_equal(dedup(pts[order]), brute(pts[order]))
+    assert len(dedup(chain)) == 3
 
 
 def test_census_idempotent_under_refinement(lambda17):

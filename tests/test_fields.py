@@ -179,6 +179,17 @@ def test_wave_vectors_are_exact_integers(m):
     assert MorseField([(1.0, 3.0, -2, 0.0)]).to_dict()["modes"][0]["m"] == 3
 
 
+def test_mode_entries_are_single_numbers():
+    # two modes with a list phase once gave a phase array of shape (2, 2),
+    # and a list amplitude one of shape (2, 1), which value() broadcast
+    # into arrays of the wrong shape
+    for mode in ((1.0, 1, 0, [0.0, 0.5]), ([1.0], 1, 0, 0.0),
+                 (1.0, [1, 2], 0, 0.0)):
+        for modes in ([mode], [mode, mode]):
+            with pytest.raises(ValueError, match="single numbers"):
+                MorseField(modes)
+
+
 PATCH = {"center": [1.0, 2.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
          "scale": 0.3, "A": 0.3, "K": 12.0}
 
