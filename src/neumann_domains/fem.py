@@ -12,6 +12,7 @@ that proof fails.
 """
 
 import json
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,9 +28,11 @@ CLUSTER_TOL = 1e-3
 
 
 def _check_args(lam=None, k=1, tol=CLUSTER_TOL, n=np.inf):
-    """Refuse an out-of-range lam, tol, or eigenvalue count k on n vertices."""
+    """Refuse an out-of-range lam or tol, or a bad eigenvalue count k."""
     if lam is not None and not (lam >= 0 and np.isfinite(lam)):
         raise ValueError(f"lam = {lam} must be finite and non-negative")
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"eigenvalue count k = {k!r} must be an integer")
     if k < 1:
         raise ValueError(f"eigenvalue count k = {k} must be at least 1")
     if not k < n / 2:

@@ -15,6 +15,7 @@ and the crack is left as a slit with duplicated vertices.
 
 import json
 import math
+import numbers
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -711,8 +712,18 @@ def _slit_pieces(domain, h, grading):
                   for k, p in enumerate(lifted)]
 
 
+def _check_rect_args(width, height, nx, ny):
+    for name, v in (("nx", nx), ("ny", ny)):
+        if not (isinstance(v, numbers.Integral) and v >= 1):
+            raise ValueError(f"{name} = {v!r} must be an integer, at least 1")
+    for name, v in (("width", width), ("height", height)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} = {v} must be finite and positive")
+
+
 def structured_rect_mesh(width, height, nx, ny):
     """Uniform right-triangle mesh of a rectangle (validation helper)."""
+    _check_rect_args(width, height, nx, ny)
     gx = np.linspace(0.0, width, nx + 1)
     gy = np.linspace(0.0, height, ny + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")

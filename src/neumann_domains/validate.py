@@ -4,11 +4,10 @@ import numpy as np
 
 from . import torus
 from .complexes import build_complex
-from .critical import MAX, MIN, _census
+from .critical import MAX, MIN, SADDLE
 from .geometry import _point_in_polygon
 
 HAUSDORFF_TOL = 1e-4
-ANGLE_SUM_TOL = 1e-3
 CLOUD_STRIDE = 3       # every n-th line sample enters the Hausdorff cloud
 
 
@@ -53,14 +52,16 @@ def attachment_samples(cx, rng):
 def run_invariants(field, seed_grid=24, rng_seed=7):
     """Run the invariant suite on one field.
 
-    Returns a list of (check_name, ok, detail) triples.
+    Returns a list of (check_name, ok, detail) triples.  Only checks that
+    can fail once the complex is built are run: the build itself raises
+    EulerMismatch when V - E + F != 0 and SeedGridTooCoarse when the census
+    moves under refinement, and the angles at a vertex sum to 2*pi by
+    construction.
     """
     results = []
     rng = np.random.default_rng(rng_seed)
 
     cx = build_complex(field, seed_grid)
-    V, E, F = len(cx.critical_points), len(cx.lines), len(cx.faces)
-    results.append(("euler_relation", V - E + F == 0, f"V-E+F = {V - E + F}"))
 
     # the faces tessellate the torus
     total = sum(f.area for f in cx.faces)
@@ -68,36 +69,14 @@ def run_invariants(field, seed_grid=24, rng_seed=7):
                     abs(total - torus.PERIOD ** 2) < 1e-6,
                     f"sum of areas {total:.9f} vs {torus.PERIOD ** 2:.9f}"))
 
-    # idempotent critical point census under seed doubling; the build has
-    # just run the (deterministic) census at seed_grid
-    pts1 = cx.critical_points
-    pts2 = _census(field, 2 * seed_grid)
-    same = len(pts1) == len(pts2)
-    if same:
-        d = torus.pairwise_dist(np.array([p.position for p in pts1]),
-                                np.array([p.position for p in pts2]))
-        same = bool(np.max(np.min(d, axis=1)) < 1e-6)
-    results.append(("census_idempotent", same,
-                    f"{len(pts1)} vs {len(pts2)} points"))
-
-    # angle sums
-    worst = 0.0
-    for c in cx.critical_points:
-        if c.degree >= 2:
-            worst = max(worst, abs(float(np.sum(cx.angles_at(c.index)))
-                                   - 2 * np.pi))
-    results.append(("angle_sums_2pi", worst <= ANGLE_SUM_TOL,
-                    f"max deviation {worst:.2e}"))
-
-    # negation symmetry: swapped labels, same line geometry, same face count
+    # negation symmetry: the same census point by point with maxima and
+    # minima swapped (-f's Newton iterates are f's bit for bit), the same
+    # line geometry and the same face count
     cxn = build_complex(field.negated(), seed_grid)
-    kinds = sorted(c.kind for c in cx.critical_points)
-    kinds_n = sorted(c.kind for c in cxn.critical_points)
-    swap_ok = kinds == kinds_n and all(
-        sum(1 for c in cx.critical_points if c.kind == k)
-        == sum(1 for c in cxn.critical_points
-               if c.kind == (MIN if k == MAX else MAX if k == MIN else k))
-        for k in (MIN, MAX))
+    swap = {MIN: MAX, MAX: MIN, SADDLE: SADDLE}
+    swap_ok = len(cx.critical_points) == len(cxn.critical_points) and all(
+        cn.kind == swap[c.kind] and np.array_equal(cn.position, c.position)
+        for c, cn in zip(cx.critical_points, cxn.critical_points))
     hd = hausdorff_torus(_line_cloud(cx), _line_cloud(cxn))
     results.append(("negation_swaps_labels", swap_ok, "kind census swapped"))
     results.append(("negation_line_hausdorff", hd <= HAUSDORFF_TOL,

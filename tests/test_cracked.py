@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from neumann_domains import (CrackPerturbation, MorseField,
                              build_crack_perturbation, mesh_domain,
-                             neumann_spectrum, verify_cracked)
+                             neumann_spectrum, run_invariants,
+                             verify_cracked)
 from neumann_domains.cracked import EFFECTIVE_PEAK, GAMMA0
 from neumann_domains.errors import (AmplitudeTooSmall, ConstructionFailed,
                                     PatchContainsCriticalPoint, PatchTooLarge)
@@ -173,6 +174,12 @@ def test_cracked_complex_attachment_matches_flow(crack_field, crack_report):
     assert [f.max_index for f in owners] == list(maxs)
     cracked = crack_report.cracked_faces[0]
     assert cracked.max_index == crack_report.new_max.index
+
+
+def test_invariants_hold_on_the_cracked_field(crack_field):
+    # the crack adds one extremum, so #max != #min: the negation check once
+    # compared sorted kind lists and failed on every cracked field
+    assert all(ok for _, ok, _ in run_invariants(crack_field, 24))
 
 
 def test_reversed_amplitude_gives_minimum(separable):

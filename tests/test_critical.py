@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import grid_sign_census
-from neumann_domains import MorseField, euler_check, find_critical_points
-from neumann_domains import torus
+from neumann_domains import (MorseField, critical, euler_check,
+                             find_critical_points, run_invariants, torus)
 from neumann_domains.critical import (DEDUP_RADIUS, MAX, MIN, SADDLE,
                                       CriticalPoint, _census)
 from neumann_domains.errors import NotMorse, SeedGridTooCoarse
@@ -149,6 +149,23 @@ def test_dedup_matches_brute_force_rule():
         order = np.random.default_rng(seed).permutation(len(pts))
         np.testing.assert_array_equal(dedup(pts[order]), brute(pts[order]))
     assert len(dedup(chain)) == 3
+
+
+def test_verify_runs_only_the_builds_censuses(separable, monkeypatch):
+    # verify builds three complexes, each with a census at seed_grid and at
+    # 2 * seed_grid; it once ran a seventh census to repeat the build's
+    # refinement check.  Every census seeds one lattice, however it is
+    # imported
+    calls = []
+    seed_lattice = critical._seed_lattice
+
+    def counted(field, n):
+        calls.append(n)
+        return seed_lattice(field, n)
+
+    monkeypatch.setattr(critical, "_seed_lattice", counted)
+    run_invariants(separable, 16)
+    assert calls == [16, 32] * 3
 
 
 def test_census_idempotent_under_refinement(lambda17):

@@ -143,6 +143,12 @@ def test_eigenvalue_count_checked_before_assembly(separable, monkeypatch):
         neumann_spectrum(mesh, 41)
     with pytest.raises(ValueError, match="below 40.5 for 81 vertices"):
         domain_spectrum_report(separable, mesh, 1.0, 41)
+    # a non-integer count once reached ARPACK, which broke down (exit 3)
+    for k in (2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="count k = .* an integer"):
+            neumann_spectrum(mesh, k)
+        with pytest.raises(ValueError, match="count k = .* an integer"):
+            domain_spectrum_report(separable, mesh, 1.0, k)
 
 
 def test_spectral_position_scaling_invariance(separable, sep_complex):

@@ -263,6 +263,14 @@ def test_mesh_domain_rejects_bad_sizes(separable, sep_complex, lambda17,
             with pytest.raises(ValueError):
                 mesh_domain(field, face, h, grading,
                             critical_points=cx.critical_points)
+    # the rectangle mesh once divided by nx = 0, and a negative width gave
+    # h < 0 and clockwise triangles
+    for args, name in (((np.pi, np.pi, 0, 8), "nx"),
+                       ((np.pi, np.pi, -2, 8), "nx"),
+                       ((np.pi, np.pi, 2.5, 8), "nx"),
+                       ((-1.0, np.pi, 8, 8), "width")):
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            structured_rect_mesh(*args)
 
 
 def test_self_intersection_guard():
