@@ -19,9 +19,8 @@ from .contours import _onto_level, polyline_intersections
 from .critical import MIN, MAX, SADDLE, cusp_exponent, find_critical_points
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      UnknownCriticalPoint)
-from .flow import _point_at_radius, trace_all_neumann_lines
+from .flow import trace_all_neumann_lines
 
-ORDER_RADIUS = 0.02        # radius at which departure angles order the darts
 CUSP_ANGLE_THRESHOLD = np.deg2rad(5.0)
 CUSP_FIT_RADIUS = 0.1
 CUSP_FIT_R2 = 0.99
@@ -95,7 +94,7 @@ class NeumannComplex:
         self.critical_points = critical_points
         self.lines = lines
         self.faces = faces
-        self.incidence = incidence   # crit index -> list of (dart, order_angle)
+        self.incidence = incidence   # crit index -> darts leaving it, CCW
 
     # -- elementary queries ---------------------------------------------------
 
@@ -126,25 +125,10 @@ class NeumannComplex:
         darts = self.incidence[idx]
         if len(darts) < 2:
             raise DegreeTooSmall(f"degree {len(darts)} at critical point {idx}")
-        angs = np.array([self._measure_angle(d) for d, _ in darts])
+        angs = np.array([_leaving_angle(self.lines, d) for d in darts])
         angs = np.sort(np.mod(angs, 2 * np.pi))
         gaps = np.diff(np.concatenate([angs, [angs[0] + 2 * np.pi]]))
         return gaps
-
-    def _measure_angle(self, dart):
-        """Limit tangent direction of the dart at its origin critical point.
-
-        At the start (a saddle) the first-sample chord is accurate; at the
-        captured end the line's recorded end tangent serves.  Both come from
-        the traced geometry, so the values carry the integration error
-        rather than being exact by construction.
-        """
-        ln = self.lines[dart // 2]
-        if dart % 2 == 0:
-            v = ln.samples[1] - ln.samples[0]
-        else:
-            v = ln.end_tangent
-        return float(np.arctan2(v[1], v[0]))
 
     # -- export ----------------------------------------------------------------
 
@@ -185,31 +169,45 @@ def _oriented_from_origin(lines, dart):
     return ln.samples if dart % 2 == 0 else ln.samples[::-1]
 
 
-def _departure_direction(lines, dart):
-    """Direction in which the dart leaves its origin, probed at ORDER_RADIUS."""
-    pts = _oriented_from_origin(lines, dart)
-    r = min(ORDER_RADIUS, 0.45 * lines[dart // 2].length)
-    v = _point_at_radius(pts, r) - pts[0]
-    return np.arctan2(v[1], v[0])
+def _leaving_angle(lines, dart, cp=None):
+    """Angle at which the dart leaves its origin critical point.
+
+    The traced geometry gives the direction: the launch chord at the start
+    (a saddle), the recorded end tangent at the captured end.  Given an
+    extremum ``cp`` whose Hessian is not proportional, the direction snaps
+    to the nearest of the half-axes +-slow, +-fast, which every line ends
+    tangent to: the angle then names the dart's sector.
+    """
+    ln = lines[dart // 2]
+    v = ln.samples[1] - ln.samples[0] if dart % 2 == 0 else ln.end_tangent
+    if cp is not None and cp.is_extremum and not cp.is_hess_proportional:
+        axes = np.array([cp.slow_axis, -cp.slow_axis,
+                         cp.fast_axis, -cp.fast_axis])
+        v = axes[np.argmax(axes @ v)]
+    return float(np.arctan2(v[1], v[0]))
 
 
-TIE_ANGLE_TOL = 1e-3      # darts this close in probe angle get walked apart
-TIE_SEP_TOL = 3e-6        # first transverse separation that counts
+TIE_SEP_TOL = 1e-3        # first transverse separation that orders a sector
+
+
+def _walk(lines, dart_a, dart_b):
+    """dart_a's samples and dart_b's displacement from them at equal arc
+    length from their common origin, up to the end of the shorter dart."""
+    pa = _oriented_from_origin(lines, dart_a)
+    pb = _oriented_from_origin(lines, dart_b)
+    n = min(len(pa), len(pb))
+    return pa[:n], pb[:n] + torus.period_shift(pa[0] - pb[0]) - pa[:n]
 
 
 def _tie_break_ccw(lines, dart_a, dart_b):
     """True when dart_b leaves the common origin counterclockwise of dart_a.
 
-    Lines that collapse onto a common slow manifold are indistinguishable at
-    any fixed probe radius, but they cannot cross, so their angular order is
+    Lines in one sector collapse onto a common half-axis and cannot be told
+    apart by direction, but they cannot cross, so their angular order is
     decided by the sign of the first transverse separation along the walk.
     """
-    pa = _oriented_from_origin(lines, dart_a)
-    pb = _oriented_from_origin(lines, dart_b)
-    pb = pb + torus.period_shift(pa[0] - pb[0])
-    n = min(len(pa), len(pb))
-    t = pa[1:n] - pa[:n - 1]
-    d = pb[:n - 1] - pa[:n - 1]
+    pa, d = _walk(lines, dart_a, dart_b)
+    t, d = pa[1:] - pa[:-1], d[:-1]
     dperp = (t[:, 0] * d[:, 1] - t[:, 1] * d[:, 0]) \
         / np.maximum(np.linalg.norm(t, axis=1), 1e-300)
     big = np.abs(dperp) > TIE_SEP_TOL
@@ -217,28 +215,15 @@ def _tie_break_ccw(lines, dart_a, dart_b):
     return dperp[k] > 0
 
 
-def _refine_tied_order(lines, ordered):
-    """Re-sort angle-tied blocks of (dart, angle) pairs by the walk order."""
-    n = len(ordered)
-    if n < 2:
-        return ordered
-    angles = np.array([a for _, a in ordered])
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-    # rotate so the largest gap sits at the list boundary
-    start = (int(np.argmax(gaps)) + 1) % n
-    items = [ordered[(start + k) % n] for k in range(n)]
-    out = []
-    block = [items[0]]
-    cmp = functools.cmp_to_key(
-        lambda x, y: -1 if _tie_break_ccw(lines, x[0], y[0]) else 1)
-    for cur in items[1:]:
-        if abs(cur[1] - block[-1][1]) < TIE_ANGLE_TOL:
-            block.append(cur)
-        else:
-            out.extend(sorted(block, key=cmp) if len(block) > 1 else block)
-            block = [cur]
-    out.extend(sorted(block, key=cmp) if len(block) > 1 else block)
-    return out
+def _rotation(lines, cp, darts):
+    """The darts leaving critical point cp, in counterclockwise order: by
+    sector angle, and within one sector by the walk of ``_tie_break_ccw``."""
+    key = {d: _leaving_angle(lines, d, cp) for d in darts}
+
+    def cmp(a, b):
+        tie = key[a] == key[b] and _tie_break_ccw(lines, a, b)
+        return -1 if key[a] < key[b] or tie else 1
+    return sorted(darts, key=functools.cmp_to_key(cmp))
 
 
 def _face_walk(darts_at):
@@ -248,7 +233,7 @@ def _face_walk(darts_at):
     """
     pos = {}
     for v, ds in darts_at.items():
-        for i, (d, _) in enumerate(ds):
+        for i, d in enumerate(ds):
             pos[d] = (v, i)
     faces = []
     seen = set()
@@ -258,7 +243,7 @@ def _face_walk(darts_at):
         chain = [d0]
         while True:
             v, i = pos[chain[-1] ^ 1]
-            d = darts_at[v][i - 1][0]       # i - 1 = -1 wraps to the last
+            d = darts_at[v][i - 1]          # i - 1 = -1 wraps to the last
             if d == d0:
                 break
             chain.append(d)
@@ -332,9 +317,14 @@ def _fine_crossing(lines, li, lj, near):
 
 
 def _check_crossings(lines, critical_points):
-    """Raise LineCrossing if two lines intersect away from critical points."""
-    owner, _, a0, a1 = geometry.chords([ln.samples for ln in lines],
-                                       CROSSING_COARSEN)
+    """Raise LineCrossing if two lines intersect away from critical points.
+
+    Lines that share an end may converge into one needle there and touch
+    within tracing noise: a contact is no crossing when the two lines stay
+    within COINCIDENCE_TOL of each other from it all the way to that end.
+    """
+    owner, first, a0, a1 = geometry.chords([ln.samples for ln in lines],
+                                           CROSSING_COARSEN)
     i, j, shift = geometry.candidate_pairs(a0, a1)
     other = owner[i] != owner[j]
     i, j, shift = i[other], j[other], shift[other]
@@ -345,12 +335,24 @@ def _check_crossings(lines, critical_points):
     crit_xy = np.array([c.position for c in critical_points])
     dists = torus.pairwise_dist(xw, crit_xy)
     ends = [{ln.start_index, ln.end_index} for ln in lines]
-    for x, d, li, lj in zip(xw, dists, owner[i], owner[j]):
+    # the contact's sample on line owner[i]; samples are uniform in arc length
+    last = np.array([len(ln.samples) - 1 for ln in lines])[owner[i]]
+    at = first[i] + np.rint(
+        t * np.minimum(CROSSING_COARSEN, last - first[i])).astype(int)
+    spread = {}       # dart pair -> running maximum of their walk's gap
+
+    def in_needle(li, lj, s, k):
+        da, db = (2 * m + (lines[m].start_index != s) for m in (li, lj))
+        if (da, db) not in spread:
+            _, gap = _walk(lines, da, db)
+            spread[da, db] = np.maximum.accumulate(np.linalg.norm(gap, axis=1))
+        k = k if da % 2 == 0 else len(lines[li].samples) - 1 - k
+        return k < len(spread[da, db]) and spread[da, db][k] < COINCIDENCE_TOL
+
+    for x, d, li, lj, k in zip(xw, dists, owner[i], owner[j], at):
         if np.min(d) <= CROSSING_EXCLUSION:
             continue
-        # lines converging into a shared endpoint legitimately approach
-        # each other; ignore contacts in that neighbourhood
-        if any(d[s] < 0.1 for s in ends[li] & ends[lj]):
+        if any(in_needle(li, lj, s, k) for s in ends[li] & ends[lj]):
             continue
         if _fine_crossing(lines, li, lj, x):
             raise LineCrossing(f"lines {li} and {lj} cross near {x}")
@@ -441,16 +443,12 @@ def build_complex(field, seed_grid=24):
     lines = [ln for g in groups for ln in g]
     _check_crossings(lines, cps)
 
-    # rotation system: outgoing darts at each vertex, CCW by probe angle
+    # rotation system: the darts leaving each vertex, counterclockwise
     darts_at = {}
     for li, ln in enumerate(lines):
-        for o, vtx in ((0, ln.start_index), (1, ln.end_index)):
-            d = 2 * li + o
-            darts_at.setdefault(vtx, []).append(
-                (d, _departure_direction(lines, d)))
-    for v in darts_at:
-        darts_at[v].sort(key=lambda da: da[1])
-        darts_at[v] = _refine_tied_order(lines, darts_at[v])
+        darts_at.setdefault(ln.start_index, []).append(2 * li)
+        darts_at.setdefault(ln.end_index, []).append(2 * li + 1)
+    darts_at = {v: _rotation(lines, cps[v], ds) for v, ds in darts_at.items()}
 
     chains = _face_walk(darts_at)
 
@@ -497,8 +495,8 @@ def build_complex(field, seed_grid=24):
                 continue
             d_out = face.chain[k]
             d_in = face.chain[(k - 1) % n] ^ 1
-            a1 = cx._measure_angle(d_out)
-            a2 = cx._measure_angle(d_in)
+            a1 = _leaving_angle(lines, d_out)
+            a2 = _leaving_angle(lines, d_in)
             gap = abs((a1 - a2 + np.pi) % (2 * np.pi) - np.pi)
             if gap < CUSP_ANGLE_THRESHOLD:
                 alpha_h = None

@@ -60,6 +60,25 @@ def crack_report(crack_field):
     return verify_cracked(crack_field, 24)
 
 
+def draw_eigenfunction(rng):
+    """Modes (a, m, n, theta) of a generic eigenfunction field from rng.
+
+    lam is one of 5, 10, 13, 17, 25; two or three of its wave vectors up to
+    sign are drawn, each with an amplitude in [0.3, 1) and a phase in
+    [0, 2 pi).  The recipe is pinned by a digest of its first draws, so the
+    corpus it seeds stays the same from one change to the next.
+    """
+    lam = rng.choice((5, 10, 13, 17, 25))
+    vs = [(m, n) for m in range(-5, 6) for n in range(-5, 6)
+          if m * m + n * n == lam and (m > 0 or (m == 0 and n > 0))]
+    k = min(int(rng.integers(2, 4)), len(vs))
+    modes = []
+    for i in sorted(rng.choice(len(vs), k, replace=False)):
+        a = rng.uniform(0.3, 1)
+        modes.append((a, *vs[i], rng.uniform(0, 2 * np.pi)))
+    return modes
+
+
 def grid_sign_census(field, n=1024):
     """Independent critical point census by sign analysis on a fine grid.
 

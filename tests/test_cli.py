@@ -30,6 +30,17 @@ def test_crit(tmp_path):
     assert len(data["critical_points"]) == 4
     assert data["euler_ok"]
     assert data["config"]["field"] == "separable"
+    # the census of cos(x + y) + 0.7 cos(x - y) once reported (pi, 2*pi)
+    # and (2*pi, pi): every written position lies in [0, 2*pi)
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"modes": [{"a": 1, "m": 1, "n": 1},
+                                          {"a": 0.7, "m": 1, "n": -1}]}))
+    code, out = run(tmp_path / "diag", "crit", "--field", str(path))
+    assert code == 0
+    xy = [p["position"] for p in json.loads(
+        (out / "crit.json").read_text())["critical_points"]]
+    assert len(xy) == 8
+    assert all(0 <= c < 2 * math.pi for p in xy for c in p), xy
 
 
 def test_complex_with_svg(tmp_path):
