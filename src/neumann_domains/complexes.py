@@ -16,7 +16,8 @@ import numpy as np
 
 from . import geometry, torus
 from .contours import _onto_level, polyline_intersections
-from .critical import MIN, MAX, SADDLE, cusp_exponent, find_critical_points
+from .critical import (MIN, MAX, SADDLE, cusp_exponent, euler_check,
+                       find_critical_points)
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      UnknownCriticalPoint)
 from .flow import trace_all_neumann_lines
@@ -434,10 +435,19 @@ def _attach_extrema(face, cps):
 def build_complex(field, seed_grid=24):
     """Trace the Neumann line set and assemble the partition of the torus.
 
-    Raises EulerMismatch if V - E + F != 0 or a face walks clockwise, and
-    LineCrossing if traced lines intersect away from critical points.
+    Raises EulerMismatch if the census breaks #min - #saddles + #max = 0,
+    if V - E + F != 0 or if a face walks clockwise, and LineCrossing if
+    traced lines intersect away from critical points.
     """
     cps = find_critical_points(field, seed_grid)
+    if not euler_check(cps):
+        # a census that missed an extremum would send the tracer after a
+        # line end that is in no census, which once ran without returning
+        n = {k: sum(c.kind == k for c in cps) for k in (MIN, SADDLE, MAX)}
+        raise EulerMismatch(
+            f"census counts {n[MIN]} min, {n[SADDLE]} saddles and {n[MAX]} "
+            f"max, so #min - #saddles + #max = "
+            f"{n[MIN] - n[SADDLE] + n[MAX]} != 0")
     saddles = [c for c in cps if c.kind == SADDLE]
     groups = trace_all_neumann_lines(field, saddles, cps)
     lines = [ln for g in groups for ln in g]

@@ -33,7 +33,12 @@ class LineCrossing(NeumannDomainError):
 
 
 class EulerMismatch(NeumannDomainError):
-    """V - E + F != 0 for the assembled complex on the torus."""
+    """The census or the assembled complex breaks the torus Euler relation.
+
+    #min - #saddles + #max != 0 for the critical points, or V - E + F != 0,
+    a face walking clockwise or a face without one maximum and one minimum
+    for the complex.
+    """
 
 
 class UnknownCriticalPoint(NeumannDomainError):

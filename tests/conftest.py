@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from neumann_domains import (MorseField, build_complex, load_bundled,
+from neumann_domains import (MorseField, build_complex,
+                             domain_spectrum_report, load_bundled,
                              mesh_domain)
 from neumann_domains.cracked import build_crack_perturbation, verify_cracked
 
@@ -162,3 +163,10 @@ def l17_meshes(lambda17, l17_complex):
     return [mesh_domain(lambda17, face, 0.03,
                         critical_points=l17_complex.critical_points)
             for face in l17_complex.faces]
+
+
+@pytest.fixture(scope="session")
+def l17_reports(lambda17, l17_meshes):
+    # the spectrum report of every lambda17 face at lam = 17 with k = 12
+    return [domain_spectrum_report(lambda17, mesh, 17.0, 12)
+            for mesh in l17_meshes]

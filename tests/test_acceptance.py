@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its measurements and asserting the stated tolerances and runtime budgets."""
 
+import json
 import time
 
 import numpy as np
@@ -9,8 +10,9 @@ from neumann_domains import (build_complex, build_crack_perturbation,
                              neumann_spectrum, nodal_neumann_angles,
                              nodal_set, restriction_residual,
                              spectral_position, verify_cracked)
+from neumann_domains.cli import main
 from neumann_domains.critical import MAX, MIN, SADDLE
-from neumann_domains.validate import run_invariants
+from neumann_domains.fields import BUNDLED_NAMES
 
 SQUARE_SPECTRUM = np.array([0, 1, 1, 2, 4, 4, 5, 5, 8], dtype=float)
 
@@ -194,17 +196,17 @@ def test_criterion_6_fem_self_validation(crack_field, crack_report):
            f"({dt:.1f}s)")
 
 
-def test_criterion_7_invariant_suite():
+def test_criterion_7_invariant_suite(tmp_path):
+    # `verify` with no --field runs the suite on every bundled field
     t0 = time.perf_counter()
-    all_ok = True
-    lines = []
-    for name in ("separable", "anisotropic", "lambda17"):
-        field = load_bundled(name)
-        for check, ok, detail in run_invariants(field, 24):
-            all_ok &= ok
-            if not ok:
-                lines.append(f"{name}:{check} ({detail})")
+    code = main(["verify", "--out", str(tmp_path)])
     dt = time.perf_counter() - t0
+    data = json.loads((tmp_path / "verify.json").read_text())
+    assert sorted(data["results"]) == sorted(BUNDLED_NAMES)
+    lines = [f"{name}:{r['check']} ({r['detail']})"
+             for name, rows in data["results"].items()
+             for r in rows if not r["ok"]]
+    all_ok = code == 0 and data["ok"] and not lines
     report(7, all_ok and dt <= 600.0,
            "invariants green on 3 bundled fields"
            + (f"; failures: {lines}" if lines else "")

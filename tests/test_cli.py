@@ -1,8 +1,12 @@
+import ctypes.util
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,27 @@ def test_crack_subcommand(tmp_path):
     assert code2 == 0
     assert len(json.loads((out2 / "crit.json").read_text())
                ["critical_points"]) == 6
+    # the extra extremum leaves #max != #min; the negation check once
+    # compared sorted kind lists and failed the cracked field
+    code3, out3 = run(tmp_path / "verify", "verify", "--field",
+                      data["field_file"])
+    assert code3 == 0
+    assert json.loads((out3 / "verify.json").read_text())["ok"]
+
+
+def test_off_diagonal_crack_spectrum(tmp_path):
+    # the cracked face of this centre has runs of collinear boundary
+    # samples, which qhull joins into flat triangles
+    code, out = run(tmp_path, "crack", "--field", "separable",
+                    "--center", "1.5707963,-1.5707963")
+    assert code == 0
+    crack = json.loads((out / "crack.json").read_text())
+    code, out = run(tmp_path / "s", "spectrum", "--field",
+                    crack["field_file"], "--domain-index",
+                    str(crack["cracked_faces"][0]), "--mesh-h", "0.12",
+                    "--lam", "1", "--num-eigs", "4")
+    assert code == 0
+    assert json.loads((out / "spectrum.json").read_text())["position"] >= 1
 
 
 def test_deterministic_reports(tmp_path):
@@ -206,13 +231,15 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert ("the zero eigenvalue is computed as 6.23e-15"
             in capsys.readouterr().err)
     # a crack centred on a critical point, refused before its frame is
-    # formed from the vanishing gradient, so no warning reaches stderr
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        assert main(["crack", "--field", "separable", "--center", "0,0",
-                     "--out", str(tmp_path / "o")]) == 3
-    assert "Warning" not in capsys.readouterr().err
+    # formed from the vanishing gradient, so no warning reaches stderr; the
+    # gradient vanishes at (0, 0) and is roundoff at (pi, 0)
+    for center in ("0,0", "3.141592653589793,0"):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main(["crack", "--field", "separable", "--center",
+                         center, "--out", str(tmp_path / "o")]) == 3, center
+        assert "Warning" not in capsys.readouterr().err, center
     # an 8 x 8 seed lattice undercounts the roots of cos 7x + cos 7y
     path = tmp_path / "cos7.json"
     path.write_text(json.dumps({"modes": [{"a": 1.0, "m": 7, "n": 0},
@@ -337,8 +364,16 @@ def test_assertion_failures_exit_4(tmp_path, monkeypatch, capsys):
     def mismatch(*args, **kwargs):
         raise EulerMismatch("face boundary does not close in the plane")
 
-    monkeypatch.setattr(cli, "build_complex", mismatch)
+    # a bump this steep hides its new extremum from the census, and the
+    # tracer once chased a line toward it without returning
     capsys.readouterr()
+    code, _ = run(tmp_path / "k", "crack", "--field", "separable",
+                  "--bump-K", "1e4")
+    assert code == 4
+    assert ("census counts 1 min, 3 saddles and 1 max"
+            in capsys.readouterr().err)
+
+    monkeypatch.setattr(cli, "build_complex", mismatch)
     code, _ = run(tmp_path / "c", "complex", "--field", "separable")
     assert code == 4
     assert "assertion failure:" in capsys.readouterr().err
@@ -420,3 +455,84 @@ def test_argument_rules(flag, value, name, sep_complex, tmp_path,
     assert main([command, "--field", "separable", f"{flag}={value}",
                  "--out", str(tmp_path / "o")]) == 2
     assert name in capsys.readouterr().err
+
+
+# Peak memory and the malloc checker need a fresh interpreter: ru_maxrss
+# never falls, so in this process it would read every earlier test's peak,
+# and LD_PRELOAD takes effect only at startup.  The child runs each command
+# in turn and prints its exit codes and its own ru_maxrss last.
+CHILD = """
+import json, resource, sys
+from neumann_domains import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"exit": codes, "ru_maxrss_mb": rss}))
+"""
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(tmp_path, *commands, **env):
+    """Run CLI commands in a child interpreter.
+
+    Returns the exit codes, the child's ru_maxrss in MB and its stderr.
+
+    The child fails on a numpy RuntimeWarning, as the suite does, and runs
+    single-threaded BLAS; ``env`` adds variables to its environment.
+    """
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONWARNINGS": "error::RuntimeWarning", **env}
+    argvs = [[*c, "--out", str(tmp_path / f"o{i}")]
+             for i, c in enumerate(commands)]
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    print(f"ru_maxrss {result['ru_maxrss_mb']:.1f} MB")
+    return result["exit"], result["ru_maxrss_mb"], proc.stderr
+
+
+FINE_SQUARE = ["spectrum", "--field", "separable", "--mesh-h", "0.03",
+               "--lam", "1", "--num-eigs", "9"]
+
+
+def test_fine_nodal_set_memory(tmp_path):
+    # nodal_set's lattice stage holds one float per node and a byte per
+    # cell and is freed before the crossing edges are refined, so this run
+    # reads about 127 MB; the field's temporaries on the whole 2048^2
+    # lattice at once would take it to 432 MB
+    codes, rss, _ = run_fresh(tmp_path, ["complex", "--field", "lambda17",
+                                         "--grid-res", "2048", "--svg"])
+    assert codes == [0]
+    assert rss <= 250
+
+
+def test_fine_square_memory(tmp_path):
+    # the 12,840-vertex square at h = 0.03 reads about 103 MB; its lattice
+    # filters hold the h bounding-box lattice and the h/2 points near the
+    # boundary at once
+    codes, rss, _ = run_fresh(tmp_path, FINE_SQUARE)
+    assert codes == [0]
+    assert rss <= 140
+
+
+MALLOC_DEBUG = ctypes.util.find_library("c_malloc_debug")
+
+
+@pytest.mark.skipif(MALLOC_DEBUG is None,
+                    reason="glibc's libc_malloc_debug is not installed")
+def test_superlu_under_the_malloc_checker(tmp_path):
+    # the inertia count's supernode settings stay at relax 20 and panel
+    # size 5: on the fine square, scipy 1.17.1's splu corrupts the heap
+    # with panel size 21, and with relax 21 under its default options, and
+    # the checker aborts the child with "free(): invalid pointer"
+    faces = [["spectrum", "--field", "lambda17", "--domain-index", str(i),
+              "--mesh-h", "0.03", "--lam", "17", "--num-eigs", "12"]
+             for i in (5, 29)]
+    codes, _, err = run_fresh(tmp_path, FINE_SQUARE, *faces,
+                              LD_PRELOAD=MALLOC_DEBUG, MALLOC_CHECK_="3",
+                              PYTHONMALLOC="malloc")
+    assert "cannot be preloaded" not in err
+    assert codes == [0, 0, 0]

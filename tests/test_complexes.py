@@ -11,6 +11,7 @@ from conftest import draw_eigenfunction
 from neumann_domains import (MorseField, build_complex, cusp_exponent,
                              nodal_neumann_angles, nodal_set)
 from neumann_domains.complexes import CRACKED, DOUBLY_CRACKED, REGULAR
+from neumann_domains.cracked import build_crack_perturbation
 from neumann_domains.critical import MAX, MIN, SADDLE, CriticalPoint
 from neumann_domains.errors import (DegreeTooSmall, EulerMismatch,
                                     ProportionalHessian, UnknownCriticalPoint)
@@ -52,6 +53,23 @@ def test_extrema_read_from_boundary_chain():
         face = NeumannDomain(0, [0, 2, 4, 6], lines, offsets, seq)
         with pytest.raises(EulerMismatch):
             _attach_extrema(face, cps)
+
+
+def test_census_that_breaks_euler_raises_before_tracing(separable,
+                                                        monkeypatch):
+    # a bump this steep at the crack command's default centre hides the new
+    # extremum from the census (1 max, 3 saddles, 1 min), and tracing once
+    # chased a line end that no census point catches without returning
+    field = build_crack_perturbation(separable, (1.5707963, 1.5707963),
+                                     0.3, 1e4)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("lines traced from a census that breaks Euler")
+
+    monkeypatch.setattr(complexes, "trace_all_neumann_lines", no_trace)
+    with pytest.raises(EulerMismatch, match=r"1 min, 3 saddles and 1 max, "
+                       r"so #min - #saddles \+ #max = -1"):
+        build_complex(field, 24)
 
 
 def test_clockwise_face_walk_raises(separable, monkeypatch):

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 import neumann_domains.fem as fem
 from neumann_domains import (MorseField, assemble_p1, mesh_domain,
                              neumann_spectrum, restriction_residual,
-                             spectral_position, structured_rect_mesh)
+                             spectral_position, structured_rect_mesh, torus)
+from neumann_domains.critical import MAX, MIN, SADDLE
 from neumann_domains.errors import (AmbiguousCluster, NonSPDMass,
                                     NotAnEigenfunctionField, SolverBreakdown,
                                     SpectrumTooShort)
@@ -380,15 +381,52 @@ LAMBDA17_FACES_REPORT_SHA256 = ("d3db436cb505deca937976e4ff794d3b"
                                 "3c18fa389d607047ee04d57c811d8b79")
 
 
-def test_lambda17_face_reports_unchanged(lambda17, l17_complex):
+def test_lambda17_face_reports_unchanged(l17_reports):
     h = hashlib.sha256()
-    for face in l17_complex.faces:
-        mesh = mesh_domain(lambda17, face, 0.03,
-                           critical_points=l17_complex.critical_points)
-        h.update(domain_spectrum_report(lambda17, mesh, 17.0, 12)
-                 .to_json().encode())
-    assert len(l17_complex.faces) == 68
+    for rep in l17_reports:
+        h.update(rep.to_json().encode())
+    assert len(l17_reports) == 68
     assert h.hexdigest() == LAMBDA17_FACES_REPORT_SHA256
+
+
+def _half_period_partners(cx):
+    """Each face's image under the shift by (pi, pi), for an odd lam.
+
+    The shift maps f to -f, so it maps the census onto itself with maxima
+    and minima swapped, and the face with extrema (max, min) onto the face
+    with extrema (sigma(min), sigma(max)), sigma being the census map.
+    """
+    cps = cx.critical_points
+    pos = np.array([c.position for c in cps])
+    d = torus.pairwise_dist(torus.wrap(pos + np.pi), pos)
+    sigma = np.argmin(d, axis=1).tolist()
+    assert d[np.arange(len(cps)), sigma].max() < 1e-12
+    assert sorted(sigma) == list(range(len(cps)))
+    swap = {MAX: MIN, MIN: MAX, SADDLE: SADDLE}
+    assert all(cps[j].kind == swap[c.kind] for c, j in zip(cps, sigma))
+    face_of = {(f.max_index, f.min_index): f.index for f in cx.faces}
+    assert len(face_of) == len(cx.faces)
+    return [face_of[(sigma[f.min_index], sigma[f.max_index])]
+            for f in cx.faces]
+
+
+def test_half_period_partners_share_their_spectrum(l17_complex, l17_meshes,
+                                                   l17_reports):
+    # every eigenfunction field is odd or even under the shift by (pi, pi),
+    # so each lambda17 face has a partner of the same shape; a hand-picked
+    # mirror pair once showed resampling's lost corners as a 0.31 gap
+    partner = _half_period_partners(l17_complex)
+    assert (partner[5], partner[29]) == (45, 63)
+    pairs = [(i, j) for i, j in enumerate(partner) if i < j]
+    assert len(pairs) == 34
+    assert all(partner[j] == i for i, j in pairs)
+    for i, j in pairs:
+        assert l17_meshes[i].num_vertices == l17_meshes[j].num_vertices
+        a, b = l17_reports[i], l17_reports[j]
+        assert a.position == b.position, (i, j)
+        # mu_0 is the computed zero eigenvalue, roundoff with no scale
+        np.testing.assert_allclose(a.eigenvalues[1:], b.eigenvalues[1:],
+                                   rtol=1e-5, err_msg=f"faces {i}, {j}")
 
 
 def _assembly_cases(separable, sep_complex, lambda17, l17_complex):

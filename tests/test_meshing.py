@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import neumann_domains.meshing as meshing
-from neumann_domains import (cusp_length_decay, mesh_domain,
-                             neumann_spectrum, structured_rect_mesh,
-                             truncate_domain)
+from neumann_domains import (cusp_length_decay, domain_spectrum_report,
+                             mesh_domain, neumann_spectrum,
+                             structured_rect_mesh, truncate_domain)
 from neumann_domains.errors import (ExceptionalLevel, MeshQualityFailure,
                                     SelfIntersectingBoundary)
 from neumann_domains.geometry import triangle_areas
@@ -375,6 +375,21 @@ def test_truncated_piece_tails_mesh(lambda17, l17_complex, face_index, t, h):
     assert mesh.is_disk()
 
 
+# the cut of face 7's cusp cap wraps the boundary loop's start, which once
+# left a sliver beside the cut; face 18 at t = 0.9 once ended a piece in an
+# interval of nearly 1.5 h, and the sliver beside a lattice point on it
+# failed the repair
+@pytest.mark.parametrize("face_index, t, lam", [(7, 0.99, 1.0),
+                                                (18, 0.9, 17.0)])
+def test_truncated_cusped_face_report(lambda17, l17_complex, face_index, t,
+                                      lam):
+    mesh = mesh_domain(lambda17, l17_complex.faces[face_index], 0.05, t=t,
+                       critical_points=l17_complex.critical_points)
+    rep = domain_spectrum_report(lambda17, mesh, lam, 12)
+    assert rep.position == 1
+    assert rep.mesh_params["t"] == t
+
+
 def test_resampled_intervals_clear_the_lattice(lambda17, l17_complex,
                                                l17_meshes):
     # the lattice clears boundary points by 0.72 * size, so an interval
@@ -455,7 +470,7 @@ def test_mirror_faces_truncate_alike(lambda17, l17_complex):
     cx = l17_complex
     mus = [neumann_spectrum(mesh_domain(lambda17, cx.faces[i], 0.05, t=0.99,
                                         critical_points=cx.critical_points),
-                            6)[0]
+                            12)[0]
            for i in (29, 63)]
     assert np.max(np.abs(mus[0] - mus[1])) < 1e-3
 
