@@ -22,7 +22,6 @@ from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      UnknownCriticalPoint)
 from .flow import trace_all_neumann_lines
 
-CUSP_ANGLE_THRESHOLD = np.deg2rad(5.0)
 CUSP_FIT_RADIUS = 0.1
 CUSP_FIT_R2 = 0.99
 CROSSING_EXCLUSION = 5e-3  # ignore near-critical-point contacts
@@ -117,10 +116,11 @@ class NeumannComplex:
     def angles_at(self, c):
         """Angles between consecutive incident lines at a critical point.
 
-        Tangent directions are measured from the traced geometry close to the
-        point (launch chords at saddles, capture chords at extrema), so the
-        values carry the integration error rather than being exact by
-        construction.  The angles are listed in cyclic order and sum to 2*pi.
+        Tangent directions come from the traced geometry close to the point:
+        launch chords at saddles, each line's ``end_tangent`` at extrema (the
+        extrapolated limit tangent, the chord at FAST_AXIS_RADIUS, or the
+        capture chord).  So the values carry the integration error; they are
+        listed in cyclic order and sum to 2*pi.
         """
         idx = self._resolve(c)
         darts = self.incidence[idx]
@@ -176,15 +176,12 @@ def _leaving_angle(lines, dart, cp=None):
     The traced geometry gives the direction: the launch chord at the start
     (a saddle), the recorded end tangent at the captured end.  Given an
     extremum ``cp`` whose Hessian is not proportional, the direction snaps
-    to the nearest of the half-axes +-slow, +-fast, which every line ends
-    tangent to: the angle then names the dart's sector.
+    to ``cp``'s nearest half-axis, so the angle names the dart's sector.
     """
     ln = lines[dart // 2]
     v = ln.samples[1] - ln.samples[0] if dart % 2 == 0 else ln.end_tangent
     if cp is not None and cp.is_extremum and not cp.is_hess_proportional:
-        axes = np.array([cp.slow_axis, -cp.slow_axis,
-                         cp.fast_axis, -cp.fast_axis])
-        v = axes[np.argmax(axes @ v)]
+        v = cp.half_axes[cp.nearest_half_axis(v)]
     return float(np.arctan2(v[1], v[0]))
 
 
@@ -216,11 +213,9 @@ def _tie_break_ccw(lines, dart_a, dart_b):
     return dperp[k] > 0
 
 
-def _rotation(lines, cp, darts):
-    """The darts leaving critical point cp, in counterclockwise order: by
-    sector angle, and within one sector by the walk of ``_tie_break_ccw``."""
-    key = {d: _leaving_angle(lines, d, cp) for d in darts}
-
+def _rotation(lines, darts, key):
+    """The darts leaving one critical point, counterclockwise: by sector
+    angle ``key[d]``, and within one sector by ``_tie_break_ccw``'s walk."""
     def cmp(a, b):
         tie = key[a] == key[b] and _tie_break_ccw(lines, a, b)
         return -1 if key[a] < key[b] or tie else 1
@@ -458,7 +453,10 @@ def build_complex(field, seed_grid=24):
     for li, ln in enumerate(lines):
         darts_at.setdefault(ln.start_index, []).append(2 * li)
         darts_at.setdefault(ln.end_index, []).append(2 * li + 1)
-    darts_at = {v: _rotation(lines, cps[v], ds) for v, ds in darts_at.items()}
+    # each dart's sector angle, read by the rotation and the cusp test alike
+    key = {d: _leaving_angle(lines, d, cps[v])
+           for v, ds in darts_at.items() for d in ds}
+    darts_at = {v: _rotation(lines, ds, key) for v, ds in darts_at.items()}
 
     chains = _face_walk(darts_at)
 
@@ -496,29 +494,27 @@ def build_complex(field, seed_grid=24):
         else:
             face.classification = CRACKED
 
-        # cusp detection: consecutive boundary tangents meeting at angle ~ 0
+        # cusps: an extremum corner whose two boundary darts lie in one
+        # sector, the crack tip's one dart walked up and back included
         n = len(face.chain)
         for k in range(n):
             vtx = face.vertex_seq[k]
             cp = cps[vtx]
-            if not cp.is_extremum:
-                continue
             d_out = face.chain[k]
             d_in = face.chain[(k - 1) % n] ^ 1
+            if not cp.is_extremum or key[d_out] != key[d_in]:
+                continue
             a1 = _leaving_angle(lines, d_out)
             a2 = _leaving_angle(lines, d_in)
             gap = abs((a1 - a2 + np.pi) % (2 * np.pi) - np.pi)
-            if gap < CUSP_ANGLE_THRESHOLD:
-                alpha_h = None
-                if not cp.is_hess_proportional:
-                    alpha_h = cusp_exponent(cp)
-                alpha_fit, r2 = _fit_cusp_exponent(face.pieces, k, cp)
-                face.cusps.append({
-                    "crit_index": vtx, "angle": float(gap),
-                    "alpha_hessian": alpha_h, "alpha_fit": alpha_fit,
-                    "r2": r2,
-                    "confirmed": bool(alpha_fit is not None and r2 > CUSP_FIT_R2),
-                })
+            alpha_h = None if cp.is_hess_proportional else cusp_exponent(cp)
+            alpha_fit, r2 = _fit_cusp_exponent(face.pieces, k, cp)
+            face.cusps.append({
+                "crit_index": vtx, "angle": float(gap),
+                "alpha_hessian": alpha_h, "alpha_fit": alpha_fit,
+                "r2": r2,
+                "confirmed": bool(alpha_fit is not None and r2 > CUSP_FIT_R2),
+            })
     return cx
 
 

@@ -28,6 +28,7 @@ class CriticalPoint:
     hess_eigvecs : (2,2) orthonormal columns matching hess_eigvals
     slow_axis, fast_axis : the columns of the smaller and of the larger
         |eigenvalue|; a line ends at an extremum tangent to one of them
+    half_axes : rows +slow, -slow, +fast, -fast, the sectors of line ends
     is_hess_proportional : bool, eigenvalues equal within HESS_PROP_TOL
     value : f at the point
     degree : number of incident Neumann lines (filled by the complex stage)
@@ -42,6 +43,8 @@ class CriticalPoint:
         h = np.abs(self.hess_eigvals)
         self.slow_axis = self.hess_eigvecs[:, int(np.argmin(h))]
         self.fast_axis = self.hess_eigvecs[:, int(np.argmax(h))]
+        self.half_axes = np.array([self.slow_axis, -self.slow_axis,
+                                   self.fast_axis, -self.fast_axis])
         self.value = float(value)
         self.grad_norm = float(grad_norm)
         self.is_hess_proportional = bool(
@@ -53,6 +56,11 @@ class CriticalPoint:
     @property
     def is_extremum(self):
         return self.kind in (MIN, MAX)
+
+    def nearest_half_axis(self, v):
+        """Row of ``half_axes`` nearest in angle to the direction v: 0 or 1
+        for a slow half-axis, 2 or 3 for a fast one; a tie goes to slow."""
+        return int(np.argmax(self.half_axes @ v))
 
     def __repr__(self):
         return (f"CriticalPoint({self.kind} at ({self.position[0]:.6f}, "

@@ -288,14 +288,10 @@ def _end_tangent(c, c_lift, states, samples):
     """
     v = states[-1] - c_lift
     if c.is_extremum and not c.is_hess_proportional:
-        r1 = np.linalg.norm(v)
-
-        def axis_dist(axis):
-            return np.arccos(np.clip(abs(np.dot(v, axis)) / r1, -1.0, 1.0))
-
-        if axis_dist(c.fast_axis) < axis_dist(c.slow_axis):
+        if c.nearest_half_axis(v) >= 2:        # a fast half-axis
             v = _point_at_radius(samples[::-1], FAST_AXIS_RADIUS) - samples[-1]
         else:
+            r1 = np.linalg.norm(v)
             far = np.flatnonzero(
                 np.linalg.norm(states[:-1] - c_lift, axis=1) >= 3.0 * r1)
             if len(far):

@@ -3,7 +3,7 @@ circles at saddles, triangles at extrema (up for maxima, down for minima)."""
 
 import numpy as np
 
-from . import torus
+from . import critical, torus
 from .geometry import stride_indices
 
 SCALE = 120.0           # pixels per unit; fundamental domain is 2*pi wide
@@ -55,10 +55,10 @@ def render_complex_svg(cx, nodal_polylines=None, path=None):
     r = 5.0
     for c in cx.critical_points:
         p = _to_px(c.position[None, :], size)[0]
-        if c.kind == "saddle":
+        if c.kind == critical.SADDLE:
             out.append(f'<circle cx="{p[0]:.2f}" cy="{p[1]:.2f}" r="{r}" '
                        'fill="white" stroke="#c22" stroke-width="1.5"/>')
-        elif c.kind == "maximum":
+        elif c.kind == critical.MAX:
             out.append(f'<polygon points="{p[0]:.2f},{p[1] - r:.2f} '
                        f'{p[0] - r:.2f},{p[1] + r:.2f} {p[0] + r:.2f},{p[1] + r:.2f}" '
                        'fill="#c22"/>')

@@ -483,6 +483,13 @@ def test_eigenfunction_corpus_pinned():
     assert digest.hexdigest() == CORPUS_SHA256
 
 
+# recorded and confirmed cusps of each draw of the slice; both darts of
+# draw 1's six cusps at rho = 1.07 extrema read a fast sector, so a rule
+# that looked for one slow half-axis would drop them
+CORPUS_SLICE_CUSPS = [(60, 0), (90, 42), (100, 83), (0, 0), (48, 44), (0, 0),
+                      (24, 0), (60, 44)]
+
+
 def test_eigenfunction_corpus_slice_builds():
     # the first draws, chosen by index; draw 2 once raised LineCrossing
     rng = np.random.default_rng(2)
@@ -492,6 +499,26 @@ def test_eigenfunction_corpus_slice_builds():
         assert cx.is_morse_smale(), (k, modes)
         assert sum(f.area for f in cx.faces) == pytest.approx(
             4 * np.pi ** 2, abs=1e-6), (k, modes)
+        cusps = [c for f in cx.faces for c in f.cusps]
+        assert (len(cusps), sum(c["confirmed"] for c in cusps)) \
+            == CORPUS_SLICE_CUSPS[k], k
+
+
+def test_cusps_read_from_the_sectors():
+    # draw 15 of the corpus: at rho = 1.10-1.14 extrema the directions of a
+    # cusp's two boundary lines converge like r**(rho - 1), so they still
+    # leave their extremum 11-21 degrees apart, and a 5 degree gap test
+    # missed them
+    rng = np.random.default_rng(2)
+    modes = [draw_eigenfunction(rng) for _ in range(16)][15]
+    cx = build_complex(MorseField(modes), 24)
+    for fi in (4, 15, 30, 34):
+        (c,) = [c for c in cx.faces[fi].cusps if c["angle"] > np.deg2rad(5)]
+        assert np.deg2rad(11) <= c["angle"] <= np.deg2rad(21), fi
+        assert c["confirmed"], fi
+        assert 1.09 <= c["alpha_hessian"] <= 1.15, fi
+        assert c["alpha_fit"] == pytest.approx(c["alpha_hessian"],
+                                               rel=0.05), fi
 
 
 def test_faces_tile_torus(l17_complex):

@@ -77,6 +77,25 @@ def test_euler_check_cases():
         euler_check([])
 
 
+def test_nearest_half_axis():
+    # an anisotropic maximum whose eigenframe is turned by 0.4 rad
+    c, s = np.cos(0.4), np.sin(0.4)
+    top = CriticalPoint([1, 2], MAX, np.array([-5.0, -1.0]),
+                        np.array([[c, -s], [s, c]]), 1.0, 0.0)
+    assert top.slow_axis == pytest.approx([-s, c])
+    assert top.half_axes == pytest.approx(np.array(
+        [top.slow_axis, -top.slow_axis, top.fast_axis, -top.fast_axis]))
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    for i, axis in enumerate(top.half_axes):
+        for v in (axis, 2.5 * turn @ axis, 1e-5 * turn.T @ axis):
+            assert top.nearest_half_axis(v) == i
+    # exactly between a slow and a fast half-axis the slow one is nearest
+    flat = CriticalPoint([1, 2], MIN, np.array([1.0, 3.0]), np.eye(2), 0.0,
+                         0.0)
+    for v, i in (((1, 1), 0), ((-1, 1), 1), ((1, -1), 0), ((-1, -1), 1)):
+        assert flat.nearest_half_axis(np.array(v, dtype=float)) == i
+
+
 def test_degenerate_field_rejected():
     # cos x has critical circles, not points
     with pytest.raises((NotMorse, SeedGridTooCoarse)):
