@@ -2,9 +2,9 @@
 
 Draws ``count`` fields from ``numpy.random.default_rng(seed)`` with the
 corpus recipe ``draw_eigenfunction`` of ``tests/conftest.py``, builds the
-Neumann complex of each at seed grid 24, and prints the draws that fail,
-grouped by error type, then the totals of faces, cusps and confirmed cusps
-over the draws that build.
+Neumann complex of each at the default seed grid, and prints the draws that
+fail, grouped by error type, then the totals of faces, cusps and confirmed
+cusps over the draws that build.  Exits 1 when any draw fails to build.
 
     python demos/census.py 2 60
 """
@@ -35,7 +35,7 @@ def main():
     for k in range(args.count):
         modes = draw_eigenfunction(rng)
         try:
-            cx = build_complex(MorseField(modes), 24)
+            cx = build_complex(MorseField(modes))
         except NeumannDomainError as exc:
             failed[type(exc).__name__].append(k)
             continue
@@ -49,7 +49,8 @@ def main():
         print(f"{name}: draws {draws}")
     print(f"seed {args.seed}: {built} of {args.count} draws build; "
           f"{faces} faces, {cusps} cusps, {confirmed} confirmed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

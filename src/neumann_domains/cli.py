@@ -18,7 +18,7 @@ from .errors import (ConstructionFailed, EulerMismatch, LineCrossing,
                      NeumannDomainError)
 from .fields import BUNDLED_NAMES, MorseField, load_bundled
 from .svg import render_complex_svg
-from .validate import run_invariants
+from .validate import RNG_SEED, run_invariants
 
 EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ASSERTION = 2, 3, 4
 ASSERTION_ERRORS = (ConstructionFailed, EulerMismatch, LineCrossing)
@@ -29,23 +29,23 @@ def _add_common(p):
                    f"name: {', '.join(BUNDLED_NAMES)})")
     p.add_argument("--config", help="JSON config file mirroring the flags "
                    "(explicit flags win)")
-    p.add_argument("--seed-grid", type=int, default=24)
+    p.add_argument("--seed-grid", type=int, default=critical.SEED_GRID)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--rng-seed", type=int, default=7,
+    p.add_argument("--rng-seed", type=int, default=RNG_SEED,
                    help="seed for randomized re-sampling checks")
 
 
 def _add_mesh_flags(p):
     p.add_argument("--domain-index", type=int, default=0)
     p.add_argument("--mesh-h", type=float, default=0.06)
-    p.add_argument("--grading", type=float, default=0.5)
+    p.add_argument("--grading", type=float, default=meshing.GRADING)
     p.add_argument("--truncate", type=float, default=None,
                    help="cut each cusp's cap off at the level t*f(extremum), "
                    "0 < t < 1, on an uncracked face with a confirmed cusp; "
                    "this changes the domain, so the spectrum and N(lambda) "
                    "are those of the cut polygon")
     p.add_argument("--num-eigs", type=int, default=12)
-    p.add_argument("--cluster-tol", type=float, default=1e-3)
+    p.add_argument("--cluster-tol", type=float, default=fem.CLUSTER_TOL)
     p.add_argument("--lam", type=float, default=None,
                    help="query eigenvalue (defaults to the field eigenvalue)")
 

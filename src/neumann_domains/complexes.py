@@ -16,15 +16,14 @@ import numpy as np
 
 from . import geometry, torus
 from .contours import _onto_level, polyline_intersections
-from .critical import (MIN, MAX, SADDLE, cusp_exponent, euler_check,
-                       find_critical_points)
+from .critical import (MIN, MAX, SADDLE, SEED_GRID, cusp_exponent,
+                       euler_check, find_critical_points)
 from .errors import (DegreeTooSmall, EulerMismatch, LineCrossing,
                      UnknownCriticalPoint)
 from .flow import trace_all_neumann_lines
 
 CUSP_FIT_RADIUS = 0.1
 CUSP_FIT_R2 = 0.99
-CROSSING_EXCLUSION = 5e-3  # ignore near-critical-point contacts
 CROSSING_COARSEN = 10      # every n-th line sample is a coarse chord node
 REPORT_DECIMATE = 10       # every n-th line sample goes into the report
 NODAL_SADDLE_RADIUS = 1e-2  # nodal crossings this close to a saddle sit on it
@@ -252,23 +251,19 @@ def _lift_chain(lines, chain):
     """Period offsets that lift a boundary chain to contiguous polylines.
 
     Returns (offsets, vertex_seq): one offset row per dart, and the critical
-    index at each chain node.  Raises EulerMismatch when a dart does not
-    start where the last one ends, or the lifted chain does not close.
+    index at each chain node.  Each dart starts where the last one ends (the
+    face walk joins them at a vertex, and every line ends exactly on its
+    critical points), so only the closure can fail: EulerMismatch is raised
+    when the lifted chain winds around the torus and does not close.
     """
     offsets = []
     vertex_seq = []
-    cur = first = None
+    first = cur = torus.wrap(_oriented_from_origin(lines, chain[0])[0])
     for d in chain:
         pts = _oriented_from_origin(lines, d)
         ln = lines[d // 2]
         vertex_seq.append(ln.start_index if d % 2 == 0 else ln.end_index)
-        if cur is None:
-            cur = torus.wrap(pts[0])
         off = torus.period_shift(cur - pts[0])
-        if np.linalg.norm(pts[0] + off - cur) > 1e-6:
-            raise EulerMismatch("boundary chain does not lift continuously")
-        if first is None:
-            first = pts[0] + off
         offsets.append(off)
         cur = pts[-1] + off
     if np.linalg.norm(cur - first) > 1e-6:
@@ -312,12 +307,14 @@ def _fine_crossing(lines, li, lj, near):
     return bool(np.max(d_ab) >= COINCIDENCE_TOL)
 
 
-def _check_crossings(lines, critical_points):
-    """Raise LineCrossing if two lines intersect away from critical points.
+def _check_crossings(lines):
+    """Raise LineCrossing if two traced lines cross.
 
-    Lines that share an end may converge into one needle there and touch
-    within tracing noise: a contact is no crossing when the two lines stay
-    within COINCIDENCE_TOL of each other from it all the way to that end.
+    Flow lines meet only at the critical points where they end, so a contact
+    is a crossing unless it lies in a needle into a shared end: there the
+    two lines may converge and touch within tracing noise, and a contact is
+    no crossing when they stay within COINCIDENCE_TOL of each other from it
+    all the way to that end.
     """
     owner, first, a0, a1 = geometry.chords([ln.samples for ln in lines],
                                            CROSSING_COARSEN)
@@ -328,8 +325,6 @@ def _check_crossings(lines, critical_points):
                                    1e-9)
     i, j, t = i[hit], j[hit], t[hit]
     xw = torus.wrap(a0[i] + t[:, None] * (a1[i] - a0[i]))
-    crit_xy = np.array([c.position for c in critical_points])
-    dists = torus.pairwise_dist(xw, crit_xy)
     ends = [{ln.start_index, ln.end_index} for ln in lines]
     # the contact's sample on line owner[i]; samples are uniform in arc length
     last = np.array([len(ln.samples) - 1 for ln in lines])[owner[i]]
@@ -345,9 +340,7 @@ def _check_crossings(lines, critical_points):
         k = k if da % 2 == 0 else len(lines[li].samples) - 1 - k
         return k < len(spread[da, db]) and spread[da, db][k] < COINCIDENCE_TOL
 
-    for x, d, li, lj, k in zip(xw, dists, owner[i], owner[j], at):
-        if np.min(d) <= CROSSING_EXCLUSION:
-            continue
+    for x, li, lj, k in zip(xw, owner[i], owner[j], at):
         if any(in_needle(li, lj, s, k) for s in ends[li] & ends[lj]):
             continue
         if _fine_crossing(lines, li, lj, x):
@@ -427,12 +420,13 @@ def _attach_extrema(face, cps):
     face.min_index = int(minima.pop())
 
 
-def build_complex(field, seed_grid=24):
+def build_complex(field, seed_grid=SEED_GRID):
     """Trace the Neumann line set and assemble the partition of the torus.
 
     Raises EulerMismatch if the census breaks #min - #saddles + #max = 0,
-    if V - E + F != 0 or if a face walks clockwise, and LineCrossing if
-    traced lines intersect away from critical points.
+    if V - E + F != 0, if a face walks clockwise or if a face boundary does
+    not close in the plane, and LineCrossing if two traced lines cross: a
+    contact is a crossing unless it lies in a needle into a shared end.
     """
     cps = find_critical_points(field, seed_grid)
     if not euler_check(cps):
@@ -446,7 +440,7 @@ def build_complex(field, seed_grid=24):
     saddles = [c for c in cps if c.kind == SADDLE]
     groups = trace_all_neumann_lines(field, saddles, cps)
     lines = [ln for g in groups for ln in g]
-    _check_crossings(lines, cps)
+    _check_crossings(lines)
 
     # rotation system: the darts leaving each vertex, counterclockwise
     darts_at = {}

@@ -10,7 +10,7 @@ degree one, and the face containing it is cracked.
 import numpy as np
 
 from . import torus
-from .critical import MAX, MIN, SADDLE
+from .critical import MAX, MIN, SADDLE, SEED_GRID
 from .errors import (AmplitudeTooSmall, ConstructionFailed,
                      PatchContainsCriticalPoint, PatchTooLarge)
 from .fields import (BUMP_PEAK, CrackPerturbation, MorseField,
@@ -100,7 +100,7 @@ class CrackReport:
         }
 
 
-def verify_cracked(field_tilde, seed_grid=24):
+def verify_cracked(field_tilde, seed_grid=SEED_GRID):
     """Run the full pipeline on a perturbed field and check the construction.
 
     Asserts: the perturbed field is Morse-Smale; exactly one new extremum and

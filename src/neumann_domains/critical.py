@@ -13,6 +13,7 @@ NEWTON_MAX_STEP = 0.5     # damping: longest Newton step taken
 DEDUP_RADIUS = 1e-6       # torus metric
 HESS_PROP_TOL = 1e-8      # relative gap of Hessian eigenvalues
 MORSE_DET_TOL = 1e-8      # |h_min| / |h_max| below this counts as degenerate
+SEED_GRID = 24            # default Newton seed lattice per side
 
 MIN, MAX, SADDLE = "minimum", "maximum", "saddle"
 
@@ -163,7 +164,7 @@ def _check_seed_grid(seed_grid):
         raise ValueError(f"seed_grid {seed_grid} must be at least 8")
 
 
-def find_critical_points(field, seed_grid=24):
+def find_critical_points(field, seed_grid=SEED_GRID):
     """Locate and classify all critical points of the field.
 
     Newton iteration runs from a ``seed_grid`` x ``seed_grid`` lattice; roots

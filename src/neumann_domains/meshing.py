@@ -31,6 +31,7 @@ H_MIN_FACTOR = 64.0        # finest graded size is h / 64
 MIN_ANGLE_DEG = 15.0       # quality gate away from cusp neighbourhoods
 CUSP_QUALITY_RADIUS = 0.2
 FLAT_AREA_FACTOR = 1e-12   # triangles of area <= this * h^2 are dropped
+GRADING = 0.5              # default size slope near cusps and crack tips
 
 
 class TriMesh:
@@ -644,7 +645,7 @@ def _check_mesh_args(h, grading, t):
         _check_level(t)
 
 
-def mesh_domain(field, domain, h, grading=0.5, t=None, *, critical_points):
+def mesh_domain(field, domain, h, grading=GRADING, t=None, *, critical_points):
     """Triangulate one Neumann domain.
 
     Cusp neighbourhoods are graded down to h/64 by default; with ``t`` they

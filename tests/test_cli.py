@@ -1,4 +1,5 @@
 import ctypes.util
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -536,3 +538,29 @@ def test_superlu_under_the_malloc_checker(tmp_path):
                               PYTHONMALLOC="malloc")
     assert "cannot be preloaded" not in err
     assert codes == [0, 0, 0]
+
+
+def test_census_exit_status(monkeypatch, capsys):
+    # demos/census.py exits 1 when any draw fails to build, so a script can
+    # gate on it, and 0 when every draw builds
+    path = Path(__file__).parent.parent / "demos" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(sys, "argv", ["census.py", "2", "3"])
+    built = SimpleNamespace(faces=[])
+    for outcomes, code in (([built, EulerMismatch("x"), built], 1),
+                           ([built] * 3, 0)):
+        it = iter(outcomes)
+
+        def build(field):
+            out = next(it)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        monkeypatch.setattr(census, "build_complex", build)
+        assert census.main() == code
+        out = capsys.readouterr().out
+        assert ("EulerMismatch: draws [1]" in out) == bool(code)
+        assert f"{3 - code} of 3 draws build" in out

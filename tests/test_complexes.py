@@ -392,55 +392,79 @@ def test_generic_lambda5_field(generic_complex):
                                                           abs=1e-6)
 
 
-def test_synthetic_line_crossing_detected(sep_complex, monkeypatch):
+def test_synthetic_line_crossing_detected(monkeypatch):
     # two fabricated straight lines crossing at a right angle must raise,
     # also where the crossing lies past a's last stride-5 sample (1004
-    # samples: the last chord runs from sample 1000 to 1003)
+    # samples: the last chord runs from sample 1000 to 1003), and where
+    # both are moved so that it lies 2e-3 from the minimum at (pi, pi):
+    # only a needle into a shared end exempts a contact
     from neumann_domains import complexes
     from neumann_domains.complexes import _check_crossings
     from neumann_domains.errors import LineCrossing
     from neumann_domains.flow import FlowLine
 
     monkeypatch.setattr(complexes, "CROSSING_COARSEN", 5)
-    for n_a, x_b in ((1001, 1.50043), (1004, 1.9985)):
+    for n_a, x_b, move in ((1001, 1.50043, 0.0), (1004, 1.9985, 0.0),
+                           (1001, 1.50043, np.pi - 1.499)):
         s = np.linspace(0.0, 1.0, n_a)
-        a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1)
+        a = np.stack([1.0 + s, np.full_like(s, 1.50037)], axis=-1) + move
         s = np.linspace(0.0, 1.0, 1001)
-        b = np.stack([np.full_like(s, x_b), 1.0 + s], axis=-1)
+        b = np.stack([np.full_like(s, x_b), 1.0 + s], axis=-1) + move
         la = FlowLine(a, "forward", 0, 1, np.array([-1.0, 0.0]))
         # the same crossing with b's unwrapped coordinates a period away
         for lift in ((0.0, 0.0), (2 * np.pi, 0.0)):
             lb = FlowLine(b + lift, "forward", 2, 3, np.array([0.0, -1.0]))
             with pytest.raises(LineCrossing):
-                _check_crossings([la, lb], sep_complex.critical_points)
+                _check_crossings([la, lb])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("amp, raises", [(8e-4, False), (5e-3, True)])
-def test_needle_contact_is_no_crossing(sep_complex, amp, raises, reverse):
-    # two lines into the minimum at (pi, pi) touch 0.5 from it; a contact
-    # is no crossing when they stay within COINCIDENCE_TOL from it to the
-    # shared end, and a crossing when they part by more on the way; the
-    # same with both lines leaving the shared end
+def test_needle_contact_is_no_crossing(amp, raises, reverse):
+    # two lines into the minimum at (pi, pi) touch u0 from it, between
+    # samples; a contact is no crossing when they stay within
+    # COINCIDENCE_TOL from it to the shared end, and a crossing when they
+    # part by more on the way; the same with both lines leaving the shared
+    # end.  The rule, not a radius, clears a contact 1e-3 from the end
+    # (samples 1e-4 apart, so the coarse chords meet 1.5e-3 from it).
     from neumann_domains.complexes import _check_crossings
     from neumann_domains.errors import LineCrossing
     from neumann_domains.flow import FlowLine
 
-    u = np.linspace(1.5, 0.0, 1501)        # arc length left to the minimum
-    u0 = 0.5004                            # the contact, between samples
-    g = np.where(u <= u0, -amp * np.sin(np.pi * u / u0), 0.1 * (u - u0))
-    a = np.stack([np.pi - u, np.full_like(u, np.pi)], axis=-1)
-    b = np.stack([np.pi - u, np.pi + g], axis=-1)
-    ends = [(1, 3), (2, 3)]
-    if reverse:
-        a, b, ends = a[::-1], b[::-1], [e[::-1] for e in ends]
-    lines = [FlowLine(pts, "forward", *e, np.array([-1.0, 0.0]))
-             for pts, e in zip((a, b), ends)]
-    if raises:
-        with pytest.raises(LineCrossing):
-            _check_crossings(lines, sep_complex.critical_points)
-    else:
-        _check_crossings(lines, sep_complex.critical_points)
+    cases = ((1.5, 0.5004), (0.15, 1.04e-3))       # (arc length, u0)
+    for length, u0 in cases[:1] if raises else cases:
+        u = np.linspace(length, 0.0, 1501)  # arc length left to the minimum
+        g = np.where(u <= u0, -amp * np.sin(np.pi * u / u0), 0.1 * (u - u0))
+        a = np.stack([np.pi - u, np.full_like(u, np.pi)], axis=-1)
+        b = np.stack([np.pi - u, np.pi + g], axis=-1)
+        ends = [(1, 3), (2, 3)]
+        if reverse:
+            a, b, ends = a[::-1], b[::-1], [e[::-1] for e in ends]
+        lines = [FlowLine(pts, "forward", *e, np.array([-1.0, 0.0]))
+                 for pts, e in zip((a, b), ends)]
+        if raises:
+            with pytest.raises(LineCrossing):
+                _check_crossings(lines)
+        else:
+            _check_crossings(lines)
+
+
+def test_lift_chain_that_winds_raises():
+    # a line from the maximum at the origin once around the torus back to
+    # it: the dart's lift ends a period from where it starts, so the face
+    # boundary cannot close in the plane; walked up and back, it closes
+    from neumann_domains.complexes import _lift_chain
+    from neumann_domains.flow import FlowLine
+
+    s = np.linspace(0.0, 2 * np.pi, 6284)
+    ln = FlowLine(np.stack([s, np.zeros_like(s)], axis=-1), "forward", 0, 0,
+                  np.array([-1.0, 0.0]))
+    with pytest.raises(EulerMismatch,
+                       match="face boundary does not close in the plane"):
+        _lift_chain([ln], [0])
+    offsets, vertex_seq = _lift_chain([ln], [0, 1])
+    assert offsets.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert vertex_seq == [0, 0]
 
 
 # Generic eigenfunction fields whose lines squeeze into an extremum's
